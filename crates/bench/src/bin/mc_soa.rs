@@ -10,12 +10,12 @@
 //!    path paid two spans per sample; the batched path pays two per chunk);
 //! 3. **eval stage only** — the per-sample scenario rebuild + `vn_max`
 //!    against the slab kernels on the same pre-drawn parameter batch. This
-//!    isolates the stage the refactor replaced from the pinned RNG stream
-//!    (Box–Muller draws whose bit pattern checkpoints and seeds freeze),
-//!    which both paths must pay identically.
+//!    isolates the stage the refactor replaced from the perturbation stage
+//!    (the ziggurat normal draws of Monte Carlo stream v2), which both
+//!    paths pay identically.
 //!
-//! The Amdahl floor is printed explicitly: with the perturbation stage
-//! pinned, end-to-end speedup is bounded by
+//! The Amdahl bound is printed explicitly: with the perturbation stage
+//! shared, the batched/scalar end-to-end speedup is bounded by
 //! `(perturb + scalar eval) / (perturb + slab eval)` no matter how fast
 //! the kernels get. Covers the LC closed form (nominal `C > 0`) and the
 //! L-only limit (`C = 0`).
@@ -123,7 +123,7 @@ fn slab_eval_wall(s: &SsnScenario, batch: &McBatch, out: &mut [f64]) -> Duration
 }
 
 /// Best-of-`REPEATS` wall clock of the perturbation stage alone — the
-/// pinned Box–Muller stream both paths must consume draw for draw.
+/// stream both paths consume draw for draw.
 fn perturb_wall(s: &SsnScenario, spec: &VariationSpec, samples: usize) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..REPEATS {
@@ -166,7 +166,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "ns/sample",
         "samples/s",
         "speedup",
-        "pinned",
+        "shared by both paths",
     ]);
     let mut worst_serial_speedup = f64::INFINITY;
 
@@ -275,11 +275,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let ns = |d: Duration| d.as_secs_f64() / samples as f64 * 1e9;
         stages.row(&[
             model.to_owned(),
-            "perturb (Box-Muller stream)".to_owned(),
+            "perturb (ziggurat stream)".to_owned(),
             format!("{:.1}", ns(perturb)),
             format!("{:.0}", rate(samples, perturb)),
-            "shared".to_owned(),
-            "yes (bit-frozen)".to_owned(),
+            "-".to_owned(),
+            "yes".to_owned(),
         ]);
         stages.row(&[
             model.to_owned(),
@@ -303,7 +303,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let amdahl =
             (perturb + eval_scalar).as_secs_f64() / (perturb + eval_slab).as_secs_f64().max(1e-12);
         println!(
-            "{model}: pinned perturb floor {:.1} ns/sample -> Amdahl-bounded end-to-end speedup {:.2}x",
+            "{model}: shared perturb stage {:.1} ns/sample -> batched/scalar end-to-end speedup bounded at {:.2}x",
             ns(perturb),
             amdahl
         );

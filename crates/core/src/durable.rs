@@ -382,22 +382,26 @@ impl<'a> ByteReader<'a> {
 /// Two processes resuming (and committing to) the same journal would race
 /// each other's write-temp/rename commits and could interleave torn state;
 /// the durable runner therefore takes `<journal>.lock` for the duration of
-/// every checkpointed run. The lock file is created with `create_new`
-/// (O_EXCL) and records the holder's PID:
+/// every checkpointed run. The guard holds an OS advisory lock on that file
+/// ([`std::fs::File::try_lock`]) and records the holder's PID in it for
+/// diagnostics:
 ///
 /// * **Held by a live process** — acquisition fails with the typed
 ///   [`SsnError::Checkpoint`] `{kind: Locked}` naming the holder, never a
 ///   silent double-resume.
-/// * **Left behind by a dead process** (`kill -9`, OOM, reboot) — the PID
-///   no longer exists, the stale lock is removed, and acquisition
-///   proceeds. A lock whose contents are unreadable garbage (torn write)
-///   is treated as stale the same way.
+/// * **Left behind by a dead process** (`kill -9`, OOM, reboot) — the
+///   kernel released the dead holder's lock, so the next acquirer simply
+///   takes it, whatever the file holds. Liveness is the kernel's to know:
+///   no PID is ever probed, so there is no window between "the holder is
+///   dead" and "the lock is mine" for a contender to slip into.
 ///
-/// Dropping the guard removes the lock file; an abnormal exit leaves it
-/// for the next acquirer's staleness check.
+/// Dropping the guard unlinks the lock file, then releases the lock; an
+/// abnormal exit leaves an unlocked file for the next acquirer.
 #[derive(Debug)]
 pub struct JournalLock {
     lock_path: PathBuf,
+    /// The locked handle; closing it releases the lock.
+    _file: std::fs::File,
 }
 
 /// `<journal>.lock` — appended, not `with_extension`, so `run.ckpt` locks
@@ -408,19 +412,8 @@ fn lock_path_for(journal: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Whether `pid` names a live process. On Linux this consults `/proc`;
-/// elsewhere liveness cannot be probed from std alone, so locks are
-/// conservatively treated as held.
-fn pid_alive(pid: u32) -> bool {
-    if cfg!(target_os = "linux") {
-        Path::new(&format!("/proc/{pid}")).exists()
-    } else {
-        true
-    }
-}
-
 impl JournalLock {
-    /// Acquires the exclusive lock for `journal`, recovering stale locks
+    /// Acquires the exclusive lock for `journal`, taking over lock files
     /// left by dead processes.
     ///
     /// # Errors
@@ -430,71 +423,32 @@ impl JournalLock {
     /// filesystem failures.
     pub fn acquire(journal: &Path) -> Result<Self, SsnError> {
         let lock_path = lock_path_for(journal);
-        match Self::try_create(&lock_path)? {
-            Some(lock) => Ok(lock),
+        let pid_line = format!("{}\n", std::process::id());
+        let locked = storage::RetryPolicy::default()
+            .run(|| storage::io().lock_file(&lock_path, pid_line.as_bytes()))
+            .map_err(|e| io_err(&lock_path, "lock", &e))?;
+        match locked {
+            Some(file) => Ok(Self {
+                lock_path,
+                _file: file,
+            }),
             None => {
-                // The lock file exists. Live holder → typed refusal; dead
-                // or unreadable holder → stale, remove and retry once (a
-                // live contender can still win that second race). An
-                // unreadable or torn lock (a holder power-cut before its
-                // PID landed) parses to no holder and is treated as stale.
+                // The holder's PID, when it has landed, names it.
                 let holder = storage::io()
                     .read(&lock_path)
                     .ok()
                     .and_then(|b| String::from_utf8(b).ok())
                     .and_then(|s| s.trim().parse::<u32>().ok());
-                if let Some(pid) = holder {
-                    if pid_alive(pid) {
-                        return Err(SsnError::checkpoint(
-                            lock_path.display().to_string(),
-                            CheckpointErrorKind::Locked,
-                            format!("held by live process {pid}"),
-                        ));
-                    }
-                }
-                match storage::io().remove_file(&lock_path) {
-                    Ok(()) => {}
-                    // The dead holder's lock vanished under us: fine.
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(io_err(&lock_path, "remove stale lock", &e)),
-                }
-                match Self::try_create(&lock_path)? {
-                    Some(lock) => Ok(lock),
-                    None => Err(SsnError::checkpoint(
-                        lock_path.display().to_string(),
-                        CheckpointErrorKind::Locked,
-                        "lock recreated while recovering a stale one (live contender)",
-                    )),
-                }
+                let detail = match holder {
+                    Some(pid) => format!("held by live process {pid}"),
+                    None => "held by another live process".to_string(),
+                };
+                Err(SsnError::checkpoint(
+                    lock_path.display().to_string(),
+                    CheckpointErrorKind::Locked,
+                    detail,
+                ))
             }
-        }
-    }
-
-    /// One exclusive-create attempt: `Ok(Some)` on success, `Ok(None)` when
-    /// the lock file already exists, `Err` for any other filesystem failure.
-    /// A failure after the file was created (ENOSPC or a failed fsync mid
-    /// PID write) removes the partial lock so the failing process does not
-    /// block the journal it never actually locked.
-    fn try_create(lock_path: &Path) -> Result<Option<Self>, SsnError> {
-        let pid_line = format!("{}\n", std::process::id());
-        let attempt = storage::RetryPolicy::default().run(|| {
-            match storage::io().create_new(lock_path, pid_line.as_bytes()) {
-                Err(e) if e.kind() != std::io::ErrorKind::AlreadyExists => {
-                    // Best-effort cleanup of a partially-written lock; a
-                    // dead process (simulated kill) cannot clean up, and
-                    // the next acquirer's staleness pass handles the husk.
-                    let _ = storage::io().remove_file(lock_path);
-                    Err(e)
-                }
-                other => other,
-            }
-        });
-        match attempt {
-            Ok(()) => Ok(Some(Self {
-                lock_path: lock_path.to_path_buf(),
-            })),
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(None),
-            Err(e) => Err(io_err(lock_path, "create lock", &e)),
         }
     }
 
@@ -506,6 +460,9 @@ impl JournalLock {
 
 impl Drop for JournalLock {
     fn drop(&mut self) {
+        // Unlink while still holding: a contender that opened this file
+        // and wins its lock after the handle closes sees it is no longer
+        // at the path, and starts over on a fresh one.
         std::fs::remove_file(&self.lock_path).ok();
     }
 }
@@ -1682,6 +1639,10 @@ mod tests {
         // Unreadable contents (torn write of the lock itself): also stale.
         std::fs::write(&lock_path, b"\xff\xfenot a pid").unwrap();
         drop(JournalLock::acquire(&journal).expect("garbage lock must be recovered"));
+        // A live PID in an unlocked file (the dead holder's PID reused by
+        // another process): the kernel's lock, not the PID, decides.
+        std::fs::write(&lock_path, format!("{}\n", std::process::id())).unwrap();
+        drop(JournalLock::acquire(&journal).expect("an unlocked file is free"));
         assert!(!lock_path.exists());
     }
 

@@ -30,6 +30,14 @@
 //! produce bit-identical chunk payloads, so checkpoints written by either
 //! path resume on the other (`tests/durability.rs` pins the cross-path
 //! resume).
+//!
+//! # The stream contract
+//!
+//! A sample's value is fixed by the chunk→stream mapping, the per-sample
+//! draw order, and the normal sampler ([`ssn_numeric::rng::Rng::normal`]).
+//! [`MC_STREAM_VERSION`] names that triple; [`mc_run_spec`] digests it, so
+//! a journal written under another version is refused as a spec mismatch
+//! instead of resuming into a result that mixes two streams.
 
 use crate::durable::{
     run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
@@ -45,11 +53,17 @@ use ssn_numeric::rng::Rng;
 use ssn_numeric::stats;
 use ssn_units::{Farads, Henrys, Siemens, Volts};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Samples per work-queue chunk (and per RNG stream). Fixed — independent
 /// of the thread count — because chunk boundaries define which stream a
 /// sample draws from.
 pub const MC_CHUNK: usize = 256;
+
+/// Version of the Monte Carlo stream contract (see the module docs).
+/// Version 1 drew normals by Box–Muller; version 2 by the ziggurat. Any
+/// change that moves a sample's value bumps it.
+pub const MC_STREAM_VERSION: u64 = 2;
 
 /// Which evaluation path executes a Monte Carlo chunk.
 ///
@@ -496,17 +510,34 @@ pub fn run_monte_carlo_with_path(
     }
     spec.validate()?;
     let _run_span = ssn_telemetry::span("mc.run");
-    let (chunks, mut stats) = try_run_chunked(n_samples, MC_CHUNK, policy, |c, range| {
-        mc_chunk(nominal, spec, seed, c, range, path)
-    });
+    // Each chunk writes its samples straight into its slice of the result,
+    // so no per-chunk buffer outlives the chunk.
+    let mut samples = vec![0.0; n_samples];
+    let (chunks, mut stats) = {
+        let slices: Vec<Mutex<&mut [f64]>> = samples.chunks_mut(MC_CHUNK).map(Mutex::new).collect();
+        try_run_chunked(n_samples, MC_CHUNK, policy, |c, range| {
+            // A chunk that panicked leaves its slice half written and the
+            // lock poisoned; a retry rewrites the whole slice, and a failed
+            // chunk's slice is dropped below, so the guard is still good.
+            let mut out = slices[c].lock().unwrap_or_else(PoisonError::into_inner);
+            mc_chunk(nominal, spec, seed, c, range, path, &mut out)
+        })
+    };
     let _collect_span = ssn_telemetry::span("mc.collect");
     let total = stats.chunks;
-    let mut samples = Vec::with_capacity(n_samples);
+    let mut kept = 0usize;
     let mut failed = 0usize;
     let mut first_cause: Option<String> = None;
-    for chunk in chunks {
+    for (c, chunk) in chunks.into_iter().enumerate() {
+        let range = c * MC_CHUNK..((c + 1) * MC_CHUNK).min(n_samples);
         match chunk {
-            Ok(Ok(vs)) => samples.extend(vs),
+            Ok(Ok(())) => {
+                // Close the gap a failed chunk left.
+                if kept != range.start {
+                    samples.copy_within(range.clone(), kept);
+                }
+                kept += range.len();
+            }
             Ok(Err(e)) => {
                 failed += 1;
                 first_cause.get_or_insert_with(|| e.to_string());
@@ -517,6 +548,7 @@ pub fn run_monte_carlo_with_path(
             }
         }
     }
+    samples.truncate(kept);
     stats.failed_chunks = failed;
     if samples.is_empty() {
         return Err(SsnError::AllChunksFailed {
@@ -525,16 +557,22 @@ pub fn run_monte_carlo_with_path(
             first_cause: first_cause.unwrap_or_default(),
         });
     }
-    // total_cmp, not partial_cmp: every sample is checked finite above, but
-    // a total order keeps the sort panic-free by construction.
-    samples.sort_by(|a, b| a.total_cmp(b));
+    sort_samples(&mut samples);
     Ok((McResult { samples }, stats))
 }
 
-/// Evaluates one Monte Carlo chunk: samples `range` from RNG stream
-/// `(seed, c)` on the selected path. The shared body of the plain and
-/// durable runners — all paths must produce identical chunk results for
-/// the determinism and resume invariants to hold.
+/// Sorts the samples in place. `total_cmp` calls two values equal only
+/// when their bits are, so every correct sort — the in-place unstable one
+/// included — yields the same bits; and with every sample checked finite,
+/// the total order is the numeric one.
+fn sort_samples(samples: &mut [f64]) {
+    samples.sort_unstable_by(f64::total_cmp);
+}
+
+/// Evaluates one Monte Carlo chunk into `out`: samples `range` from RNG
+/// stream `(seed, c)` on the selected path. The shared body of the plain
+/// and durable runners — all paths must produce identical chunk results
+/// for the determinism and resume invariants to hold.
 fn mc_chunk(
     nominal: &SsnScenario,
     spec: &VariationSpec,
@@ -542,10 +580,11 @@ fn mc_chunk(
     c: usize,
     range: Range<usize>,
     path: McPath,
-) -> Result<Vec<f64>, SsnError> {
+    out: &mut [f64],
+) -> Result<(), SsnError> {
     match path {
-        McPath::Batched => mc_chunk_batched(nominal, spec, seed, c, range),
-        McPath::Scalar => mc_chunk_scalar(nominal, spec, seed, c, range),
+        McPath::Batched => mc_chunk_batched(nominal, spec, seed, c, range, out),
+        McPath::Scalar => mc_chunk_scalar(nominal, spec, seed, c, range, out),
     }
 }
 
@@ -556,24 +595,24 @@ fn mc_chunk_scalar(
     seed: u64,
     c: usize,
     range: Range<usize>,
-) -> Result<Vec<f64>, SsnError> {
+    out: &mut [f64],
+) -> Result<(), SsnError> {
     hooks::inject_chunk_panic(c);
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
-    range
-        .map(|i| {
-            let _sample_span = ssn_telemetry::span("mc.sample");
-            let v = hooks::inject_nan(i, sample_vn_max(nominal, spec, &mut rng)?);
-            if !v.is_finite() {
-                return Err(SsnError::invalid(
-                    "vn_max",
-                    v,
-                    "model output must be finite",
-                ));
-            }
-            Ok(v)
-        })
-        .collect::<Result<Vec<f64>, SsnError>>()
+    for (i, slot) in range.zip(out) {
+        let _sample_span = ssn_telemetry::span("mc.sample");
+        let v = hooks::inject_nan(i, sample_vn_max(nominal, spec, &mut rng)?);
+        if !v.is_finite() {
+            return Err(SsnError::invalid(
+                "vn_max",
+                v,
+                "model output must be finite",
+            ));
+        }
+        *slot = v;
+    }
+    Ok(())
 }
 
 /// The batched SoA chunk: perturb the whole chunk into parameter slabs,
@@ -589,7 +628,8 @@ fn mc_chunk_batched(
     seed: u64,
     c: usize,
     range: Range<usize>,
-) -> Result<Vec<f64>, SsnError> {
+    out: &mut [f64],
+) -> Result<(), SsnError> {
     hooks::inject_chunk_panic(c);
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
@@ -597,7 +637,6 @@ fn mc_chunk_batched(
         let _span = ssn_telemetry::span("mc.perturb");
         perturb_batch(nominal, spec, &mut rng, range.len())
     };
-    let mut out = vec![0.0; batch.len()];
     {
         let _span = ssn_telemetry::span("mc.eval");
         // A C = 0 nominal with any c_frac perturbs to exactly 0 (the
@@ -611,7 +650,7 @@ fn mc_chunk_batched(
                 batch.sigma(),
                 batch.v0(),
                 batch.l(),
-                &mut out,
+                out,
             );
         } else {
             lcmodel::vn_max_slab(
@@ -621,7 +660,7 @@ fn mc_chunk_batched(
                 batch.v0(),
                 batch.l(),
                 batch.c(),
-                &mut out,
+                out,
             );
         }
     }
@@ -636,12 +675,13 @@ fn mc_chunk_batched(
         }
         out[j] = v;
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The durable-run identity of a Monte Carlo job: every parameter that
-/// determines its samples, digested so a checkpoint can never be resumed
-/// under different settings.
+/// determines its samples, and the [`MC_STREAM_VERSION`] that turns them
+/// into samples, digested so a checkpoint can never be resumed under
+/// different settings or a different stream.
 ///
 /// Public so out-of-process schedulers (the `ssn-server` job queue) can
 /// name the exact same journal identity — a server-side checkpoint written
@@ -671,7 +711,8 @@ pub fn mc_run_spec(
         .push_f64(spec.sigma_abs)
         .push_f64(spec.v0_abs)
         .push_f64(spec.l_frac)
-        .push_f64(spec.c_frac);
+        .push_f64(spec.c_frac)
+        .push_u64(MC_STREAM_VERSION);
     RunSpec {
         kind: "montecarlo",
         seed,
@@ -725,8 +766,9 @@ pub fn run_monte_carlo_durable(
 /// The run spec does **not** digest the path: both paths produce
 /// bit-identical chunk payloads, so a checkpoint journal written mid-run
 /// by one path resumes seamlessly on the other (pinned by the cross-path
-/// cases in `tests/durability.rs`). In particular, journals written before
-/// the batched path existed resume on it unchanged.
+/// cases in `tests/durability.rs`). It does digest [`MC_STREAM_VERSION`]:
+/// a journal written under an older stream is refused with a typed spec
+/// mismatch (`tests/mc_stream.rs`).
 ///
 /// # Errors
 ///
@@ -766,7 +808,10 @@ pub fn run_monte_carlo_durable_with_path(
             let n = r.take_usize()?;
             (0..n).map(|_| r.take_f64()).collect()
         },
-        |c, range| mc_chunk(nominal, spec, seed, c, range, path),
+        |c, range| {
+            let mut out = vec![0.0; range.len()];
+            mc_chunk(nominal, spec, seed, c, range, path, &mut out).map(|()| out)
+        },
     )?;
 
     let mut durability = Durability {
@@ -811,7 +856,7 @@ pub fn run_monte_carlo_durable_with_path(
     if run.deadline_hit && samples.len() < n_samples {
         durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, samples.len());
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
+    sort_samples(&mut samples);
     Ok((McResult { samples }, run.stats, durability))
 }
 

@@ -12,8 +12,8 @@
 //! # The pieces
 //!
 //! * [`CkptIo`] — the trait abstracting every primitive a durable path
-//!   performs: whole-file create/write/fsync, exclusive create (lock
-//!   files), rename, parent-directory fsync, read, remove, mkdir.
+//!   performs: whole-file create/write/fsync, advisory-locked lock files,
+//!   rename, parent-directory fsync, read, remove, mkdir.
 //! * [`RealIo`] — the `std::fs` implementation. The only place in the
 //!   durable paths that touches the filesystem directly.
 //! * [`DiskFaultPlan`] — a deterministic seeded injector, armed
@@ -43,6 +43,7 @@
 //! every primitive is a direct `std::fs` call; fault-off runs are
 //! byte-identical to a build without this layer.
 
+use std::fs::File;
 use std::io;
 use std::io::Write as _;
 use std::path::Path;
@@ -62,10 +63,13 @@ use std::time::Duration;
 pub trait CkptIo: Send + Sync {
     /// Creates (or truncates) `path`, writes `bytes`, and fsyncs the file.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
-    /// Exclusively creates `path` (`O_EXCL`), writes `bytes`, fsyncs.
-    /// Fails with [`io::ErrorKind::AlreadyExists`] when the file exists —
-    /// the lock-acquisition primitive.
-    fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Takes an exclusive advisory lock on the file at `path` without
+    /// blocking, creating the file if needed, then replaces its contents
+    /// with `bytes` and fsyncs — the lock-acquisition primitive. The lock
+    /// lives as long as the returned handle, and the kernel drops it when
+    /// the process dies. `Ok(None)` when another handle holds it. If
+    /// writing `bytes` fails, the file is removed before the lock goes.
+    fn lock_file(&self, path: &Path, bytes: &[u8]) -> io::Result<Option<File>>;
     /// Atomically renames `from` over `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Fsyncs the directory itself, making a preceding rename durable.
@@ -90,13 +94,34 @@ impl CkptIo for RealIo {
         f.sync_all()
     }
 
-    fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(path)?;
-        f.write_all(bytes)?;
-        f.sync_all()
+    fn lock_file(&self, path: &Path, bytes: &[u8]) -> io::Result<Option<File>> {
+        // A holder unlinks the file before it lets go of the lock, so a
+        // lock won on a file that is no longer at `path` is worth nothing:
+        // open `path` afresh. Each such miss means another handle released
+        // or took the lock meanwhile; after a few, call the lock held.
+        for _ in 0..8 {
+            let mut f = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)?;
+            match f.try_lock() {
+                Ok(()) => {}
+                Err(std::fs::TryLockError::WouldBlock) => return Ok(None),
+                Err(std::fs::TryLockError::Error(e)) => return Err(e),
+            }
+            if !is_file_at(&f, path)? {
+                continue;
+            }
+            let written = f.set_len(0).and_then(|()| f.write_all(bytes));
+            if let Err(e) = written.and_then(|()| f.sync_all()) {
+                let _ = std::fs::remove_file(path);
+                return Err(e);
+            }
+            return Ok(Some(f));
+        }
+        Ok(None)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -125,6 +150,26 @@ impl CkptIo for RealIo {
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
         std::fs::create_dir_all(path)
+    }
+}
+
+/// Whether `path` still names the open file `f`.
+fn is_file_at(f: &File, path: &Path) -> io::Result<bool> {
+    let now = match std::fs::metadata(path) {
+        Ok(m) => m,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(false),
+        Err(e) => return Err(e),
+    };
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt as _;
+        let held = f.metadata()?;
+        Ok((held.dev(), held.ino()) == (now.dev(), now.ino()))
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (f, now);
+        Ok(true)
     }
 }
 
@@ -438,12 +483,16 @@ impl CkptIo for FaultIo {
         Ok(())
     }
 
-    fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn lock_file(&self, path: &Path, bytes: &[u8]) -> io::Result<Option<File>> {
         let (plan, op) = self.next_op()?;
         if self.kill_fires(&plan, op) {
             // Power cut while taking a lock: the file exists, the PID
-            // never lands — exactly the torn-lock case staleness covers.
-            let _ = RealIo.create_new(path, b"");
+            // never lands, and the lock dies with the process.
+            let _ = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path);
             count_injected(InjectedFaultKind::Killed);
             return Err(injected(InjectedFaultKind::Killed, op));
         }
@@ -455,12 +504,17 @@ impl CkptIo for FaultIo {
             count_injected(InjectedFaultKind::Eio);
             return Err(injected(InjectedFaultKind::Eio, op));
         }
-        RealIo.create_new(path, bytes)?;
+        let Some(lock) = RealIo.lock_file(path, bytes)? else {
+            return Ok(None);
+        };
         if plan.decide(SITE_FSYNC, op, plan.fsync) {
+            // Unlink while still holding, as a releasing holder does.
+            let _ = std::fs::remove_file(path);
+            drop(lock);
             count_injected(InjectedFaultKind::FsyncFailed);
             return Err(injected(InjectedFaultKind::FsyncFailed, op));
         }
-        Ok(())
+        Ok(Some(lock))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {

@@ -19,7 +19,9 @@ use crate::json::{self, Obj};
 use ssn_core::design;
 use ssn_core::durable::{Durability, DurableOptions, ParamDigest};
 use ssn_core::error::{CheckpointErrorKind, SsnError};
-use ssn_core::montecarlo::{run_monte_carlo_durable, run_monte_carlo_with, VariationSpec};
+use ssn_core::montecarlo::{
+    run_monte_carlo_durable, run_monte_carlo_with, VariationSpec, MC_STREAM_VERSION,
+};
 use ssn_core::optimize::{self, DesignSpace, ObjectiveSet, OptimizeOptions};
 use ssn_core::oracle::{self, run_differential_durable, OracleOptions};
 use ssn_core::parallel::ExecPolicy;
@@ -585,6 +587,9 @@ impl ApiRequest {
                     .push_f64(var.l_frac)
                     .push_f64(var.c_frac);
                 digest_opt(&mut d, *budget);
+                // A new stream gives new bodies: results cached or journaled
+                // under an older stream are never served for this request.
+                d.push_u64(MC_STREAM_VERSION);
             }
             Self::Sweep { sc, max_drivers } => {
                 sc.digest_into(&mut d);

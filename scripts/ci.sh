@@ -23,8 +23,10 @@ cargo test -q --test fault_injection
 echo "== telemetry smoke =="
 # A real --telemetry=json run, then the in-repo validator: every line must
 # parse and the stream must cover meta + spans + counters. The root package
-# does not depend on the CLI, so build its binaries explicitly.
+# does not depend on the CLI or the bench binaries the gates below run, so
+# build them explicitly.
 cargo build --release -p ssn-cli
+cargo build --release -p ssn-bench --bin mc_soa --bin mna_scale --bin opt_scale
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 tmp_json="$tmp_dir/telemetry.jsonl"
@@ -69,6 +71,24 @@ grep -q "resume: 2 chunk(s) restored" "$resumed_out" \
     || { echo "ci: resumed run did not report the 2 restored chunks" >&2; exit 1; }
 diff -u "$golden_csv" "$resumed_csv" \
     || { echo "ci: kill -> resume summary drifted from the uninterrupted run" >&2; exit 1; }
+
+echo "== Monte Carlo stream v2 =="
+# The ziggurat sampler's own gates (pinned first draws, equal-area layers,
+# and the distribution of a million draws against the normal CDF), then a
+# journal the Box-Muller (stream v1) build wrote mid-run: resuming it must
+# be refused as a spec mismatch (exit 11), never finished on the new stream.
+cargo test -q -p ssn-numeric --lib rng
+v1_ckpt="$tmp_dir/mc_stream_v1.ckpt"
+cp tests/fixtures/mc_stream_v1.ckpt "$v1_ckpt"
+rc=0
+./target/release/ssn montecarlo --process p018 --drivers 8 --samples 1536 \
+    --threads 2 --seed 1 --checkpoint "$v1_ckpt" --resume \
+    > /dev/null 2> "$tmp_dir/mc_stream_v1.err" || rc=$?
+[ "$rc" -eq 11 ] && grep -q "params_hash" "$tmp_dir/mc_stream_v1.err" \
+    || { echo "ci: a stream-v1 journal should be refused as a spec mismatch (exit 11), got $rc" >&2; \
+         cat "$tmp_dir/mc_stream_v1.err" >&2; exit 1; }
+cmp -s tests/fixtures/mc_stream_v1.ckpt "$v1_ckpt" \
+    || { echo "ci: the refused stream-v1 journal was modified" >&2; exit 1; }
 
 echo "== batched SoA Monte Carlo gates =="
 # The scalar-vs-batched differential suite, a bench smoke (mc_soa asserts
@@ -293,6 +313,28 @@ grep -q "resume: 2 chunk(s) restored" "$sf_resumed" \
 diff -u <(grep -E "samples:|q[0-9]" "$mc_golden") \
         <(grep -E "samples:|q[0-9]" "$sf_resumed") \
     || { echo "ci: resume after crash-under-EIO drifted from the uninterrupted run" >&2; exit 1; }
+
+echo "== journal lock: stale takeover under load =="
+# Two threads race to take over a dead holder's lock file; at most one may
+# hold it at a time. The race shows only when both vCPUs are busy, so two
+# busy loops run beside 50 repetitions of the test, and every one must pass.
+race_bin=$(cargo test --test storage_faults --no-run 2>&1 \
+    | sed -n 's#.*Executable tests/storage_faults.rs (\(.*\))$#\1#p')
+[ -x "$race_bin" ] || { echo "ci: no storage_faults test binary ($race_bin)" >&2; exit 1; }
+busy=()
+for _ in 1 2; do
+    (while :; do :; done) &
+    busy+=($!)
+done
+race_failed=0
+for _ in $(seq 50); do
+    "$race_bin" -q --exact stale_lock_takeover_race_never_yields_two_live_holders \
+        > /dev/null 2>&1 || race_failed=$((race_failed + 1))
+done
+kill "${busy[@]}"
+wait "${busy[@]}" 2> /dev/null || true
+[ "$race_failed" -eq 0 ] \
+    || { echo "ci: stale lock takeover race failed $race_failed of 50 runs under load" >&2; exit 1; }
 
 echo "== panic audit =="
 ./scripts/panic_audit.sh

@@ -9,7 +9,10 @@
 //! deterministic commit count; journal damage is injected byte-exactly
 //! with `corrupt_checkpoint`. A checkpoint that fails any structural check
 //! must come back as a typed [`SsnError::Checkpoint`] offering a fresh
-//! start — never a wrong-but-plausible result.
+//! start — never a wrong-but-plausible result. An armed crash plan is
+//! process-global, so the tests run one at a time ([`common::serial`]).
+
+mod common;
 
 use ssn_lab::core::design::{sweep_design_grid, sweep_design_grid_durable};
 use ssn_lab::core::durable::{DegradeStep, DurableOptions, RunBudget};
@@ -103,6 +106,7 @@ fn assert_bit_identical(got: &[f64], want: &[f64]) {
 
 #[test]
 fn montecarlo_kill_resume_is_bit_identical_at_every_thread_count() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -158,6 +162,7 @@ fn montecarlo_kill_resume_is_bit_identical_at_every_thread_count() {
 /// the batched default unchanged, and vice versa.
 #[test]
 fn montecarlo_checkpoint_resumes_across_evaluation_paths() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -209,6 +214,7 @@ fn montecarlo_checkpoint_resumes_across_evaluation_paths() {
 
 #[test]
 fn sweep_kill_resume_is_bit_identical_at_every_thread_count() {
+    let _serial = common::serial();
     let template = scenario(8);
     let drivers: Vec<usize> = (1..=16).collect();
     let inductances: Vec<Henrys> = (1..=16)
@@ -256,6 +262,7 @@ fn sweep_kill_resume_is_bit_identical_at_every_thread_count() {
 
 #[test]
 fn validate_kill_resume_reproduces_the_summary_at_every_thread_count() {
+    let _serial = common::serial();
     let opts = |threads: usize| OracleOptions {
         corpus: 96,
         seed: 1,
@@ -320,6 +327,7 @@ fn resume_seeded(journal: &TempJournal, seed: u64) -> Result<(), SsnError> {
 
 #[test]
 fn corrupted_journals_are_rejected_with_typed_errors() {
+    let _serial = common::serial();
     let cases: [(JournalCorruption, CheckpointErrorKind); 3] = [
         // Chop bytes off the tail: record bounds / checksum must fail.
         (
@@ -358,6 +366,7 @@ fn corrupted_journals_are_rejected_with_typed_errors() {
 
 #[test]
 fn spec_mismatch_refuses_to_resume_under_different_parameters() {
+    let _serial = common::serial();
     let journal = TempJournal::new("spec");
     seed_journal(&journal);
     // Same journal, different RNG seed: the header must refuse.
@@ -375,6 +384,7 @@ fn spec_mismatch_refuses_to_resume_under_different_parameters() {
 
 #[test]
 fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 4 * MC_CHUNK;
@@ -432,6 +442,7 @@ fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
 
 #[test]
 fn montecarlo_deadline_shrinks_samples_and_records_it() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -456,6 +467,7 @@ fn montecarlo_deadline_shrinks_samples_and_records_it() {
 
 #[test]
 fn sweep_deadline_coarsens_the_grid() {
+    let _serial = common::serial();
     let template = scenario(8);
     let drivers: Vec<usize> = (1..=16).collect();
     let inductances: Vec<Henrys> = (1..=16)
@@ -482,6 +494,7 @@ fn sweep_deadline_coarsens_the_grid() {
 
 #[test]
 fn validate_deadline_degrades_to_closed_form_fallbacks() {
+    let _serial = common::serial();
     let opts = OracleOptions {
         corpus: 96,
         seed: 1,
@@ -510,6 +523,7 @@ fn validate_deadline_degrades_to_closed_form_fallbacks() {
 
 #[test]
 fn exhausted_budget_is_a_typed_error_not_a_hang() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     // Deterministic zero budget...
@@ -534,6 +548,7 @@ fn exhausted_budget_is_a_typed_error_not_a_hang() {
 
 #[test]
 fn deadline_partial_checkpoint_then_resume_completes_bit_identically() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -574,6 +589,7 @@ fn deadline_partial_checkpoint_then_resume_completes_bit_identically() {
 
 #[test]
 fn resume_of_a_complete_journal_restores_everything() {
+    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 4 * MC_CHUNK;

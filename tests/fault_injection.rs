@@ -7,13 +7,19 @@
 //! Faults are injected through `ssn_core::faults` (compiled in behind the
 //! `fault-injection` feature, which the workspace test build enables via
 //! the `ssn-lab` meta-crate). Hooks are disarmed no-ops unless a
-//! [`FaultPlan`] is armed, so every other test in this binary — and every
-//! other test binary — sees the clean pipeline.
+//! [`FaultPlan`] is armed, and a plan is process-global, so the tests in
+//! this binary run one at a time ([`common::serial`]): each other test, and
+//! every other test binary, sees the clean pipeline.
+
+mod common;
 
 use ssn_lab::core::design;
+use ssn_lab::core::durable::DurableOptions;
 use ssn_lab::core::faults::{with_faults, FaultPlan};
 use ssn_lab::core::lcmodel;
-use ssn_lab::core::montecarlo::{run_monte_carlo_with, VariationSpec, MC_CHUNK};
+use ssn_lab::core::montecarlo::{
+    run_monte_carlo_durable, run_monte_carlo_with, McResult, VariationSpec, MC_CHUNK,
+};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::core::SsnError;
@@ -52,10 +58,26 @@ fn mc(
     }
 }
 
+/// The same job on the durable runner, which gathers the surviving chunks
+/// its own way: a partial result must keep exactly the same samples.
+fn assert_durable_agrees(plan: FaultPlan, policy: &ExecPolicy, plain: &McResult) {
+    let s = scenario(8);
+    let spec = VariationSpec::typical();
+    let (durable, ..) = with_faults(plan, || {
+        run_monte_carlo_durable(&s, &spec, SAMPLES, 42, policy, &DurableOptions::none())
+    })
+    .expect("durable partial result");
+    assert_eq!(
+        &durable, plain,
+        "plain and durable runners kept different samples"
+    );
+}
+
 /// Fault class 1: NaN model outputs. Poisoned chunks are dropped and
 /// counted; the surviving samples are still finite and ordered.
 #[test]
 fn nan_model_outputs_degrade_to_a_partial_result() {
+    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 3,
         nan_probability: 0.002,
@@ -69,6 +91,7 @@ fn nan_model_outputs_degrade_to_a_partial_result() {
     );
     assert_eq!(result.len(), SAMPLES - stats.failed_chunks * MC_CHUNK);
     assert!(result.samples().iter().all(|v| v.is_finite() && *v >= 0.0));
+    assert_durable_agrees(plan, &ExecPolicy::serial(), &result);
     // The telemetry line names the loss.
     assert!(stats.to_string().contains("failed chunk"));
 }
@@ -77,6 +100,7 @@ fn nan_model_outputs_degrade_to_a_partial_result() {
 /// reports which fraction of the work survived.
 #[test]
 fn worker_panics_are_isolated_per_chunk() {
+    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -91,6 +115,7 @@ fn worker_panics_are_isolated_per_chunk() {
             stats.failed_chunks
         );
         assert_eq!(result.len(), SAMPLES - stats.failed_chunks * MC_CHUNK);
+        assert_durable_agrees(plan, &ExecPolicy::with_threads(threads), &result);
     }
 }
 
@@ -98,6 +123,7 @@ fn worker_panics_are_isolated_per_chunk() {
 /// chunks lost, the retry is visible in telemetry.
 #[test]
 fn retry_budget_rescues_transient_worker_panics() {
+    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -115,6 +141,7 @@ fn retry_budget_rescues_transient_worker_panics() {
 /// empty success.
 #[test]
 fn losing_every_chunk_is_a_typed_error() {
+    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 1,
         panic_probability: 1.0,
@@ -139,6 +166,7 @@ fn losing_every_chunk_is_a_typed_error() {
 /// degradation is visible in the SolveReport rather than silent.
 #[test]
 fn solver_ladder_falls_back_when_a_rung_is_disabled() {
+    let _serial = common::serial();
     let s = scenario(8);
     let budget = Volts::new(0.4);
     let (tr_clean, clean) = design::required_rise_time_with_report(&s, budget).expect("clean");
@@ -174,6 +202,7 @@ fn solver_ladder_falls_back_when_a_rung_is_disabled() {
 /// their `(N, L)` attribution and row-major order.
 #[test]
 fn grid_sweep_survives_chunk_panics_with_partial_points() {
+    let _serial = common::serial();
     let s = scenario(8);
     let ns: Vec<usize> = (1..=10).collect();
     let ls: Vec<Henrys> = (1..=13).map(|l| Henrys::from_nanos(l as f64)).collect();
@@ -211,6 +240,7 @@ fn grid_sweep_survives_chunk_panics_with_partial_points() {
 /// surviving samples and the same loss pattern at every thread count.
 #[test]
 fn injected_faults_are_deterministic() {
+    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -230,6 +260,7 @@ fn injected_faults_are_deterministic() {
 /// no harness at all) is bit-identical — the hooks are true no-ops.
 #[test]
 fn disarmed_injection_is_bit_identical_to_no_injection() {
+    let _serial = common::serial();
     let (clean, clean_stats) = mc(None, &ExecPolicy::serial()).expect("clean");
     assert_eq!(clean_stats.failed_chunks, 0);
     let (armed_zero, stats) = mc(Some(FaultPlan::default()), &ExecPolicy::serial())

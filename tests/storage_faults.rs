@@ -12,8 +12,11 @@
 //! path is byte-identical to a faultless build.
 //!
 //! Everything runs under `ExecPolicy::serial()` so the storage operation
-//! order (and therefore each seeded fault schedule) is deterministic; the
-//! fault layer's own gate serializes armed sections across test threads.
+//! order (and therefore each seeded fault schedule) is deterministic, and
+//! the tests run one at a time ([`common::serial`]): an armed plan is
+//! process-global, so a concurrent un-armed run would advance its counter.
+
+mod common;
 
 use ssn_lab::core::durable::{DegradeStep, DurableOptions, JournalLock, RunBudget};
 use ssn_lab::core::error::CheckpointErrorKind;
@@ -136,6 +139,7 @@ fn run_checkpointed(
 /// the disarmed one: the fault layer itself changes nothing.
 #[test]
 fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
+    let _serial = common::serial();
     let golden = golden();
 
     // Count the run's storage operations with an inert armed plan, and
@@ -195,6 +199,7 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
 
 #[test]
 fn full_disk_degrades_to_uncheckpointed_and_still_delivers_the_result() {
+    let _serial = common::serial();
     let golden = golden();
     let journal = TempJournal::new("enospc");
     let (samples, durability) = with_disk_faults(
@@ -231,6 +236,7 @@ fn full_disk_degrades_to_uncheckpointed_and_still_delivers_the_result() {
 
 #[test]
 fn disk_filling_up_mid_run_degrades_after_the_last_good_commit() {
+    let _serial = common::serial();
     let golden = golden();
     let journal = TempJournal::new("enospc-mid");
     // Let the lock and the first commit (ops 0..=3) through, then the
@@ -289,6 +295,7 @@ fn disk_filling_up_mid_run_degrades_after_the_last_good_commit() {
 
 #[test]
 fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
+    let _serial = common::serial();
     let golden = golden();
     // Deterministic schedule: seed 3 at p=0.15 never produces three
     // consecutive failures on any operation, so every retry round clears.
@@ -325,6 +332,7 @@ fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
 
 #[test]
 fn enospc_during_lock_write_leaves_no_partial_lock_file() {
+    let _serial = common::serial();
     let journal = TempJournal::new("lock-enospc");
     with_disk_faults(
         DiskFaultPlan {
@@ -360,6 +368,7 @@ fn enospc_during_lock_write_leaves_no_partial_lock_file() {
 /// chance to interleave differently.
 #[test]
 fn stale_lock_takeover_race_never_yields_two_live_holders() {
+    let _serial = common::serial();
     for round in 0..25 {
         let journal = TempJournal::new("lock-race");
         // A PID that cannot be alive: PID 0 is the kernel's, never a
@@ -417,6 +426,7 @@ fn stale_lock_takeover_race_never_yields_two_live_holders() {
 
 #[test]
 fn cache_serves_from_memory_when_the_spool_disk_is_full() {
+    let _serial = common::serial();
     use ssn_lab::server::cache::ResultCache;
     let dir = std::env::temp_dir().join(format!("ssn-sf-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
