@@ -1562,30 +1562,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_skips_everything_without_hanging() {
-        let spec = toy_spec(6);
-        let opts = DurableOptions {
-            checkpoint: None,
-            resume: false,
-            budget: RunBudget::with_deadline(Duration::ZERO),
-        };
-        let run = run_chunked_durable(
-            &spec,
-            &ExecPolicy::with_threads(2),
-            &opts,
-            encode_chunk,
-            decode_chunk,
-            toy_eval(&spec),
-        )
-        .unwrap();
-        assert!(run.deadline_hit);
-        assert!(run
-            .chunks
-            .iter()
-            .all(|o| matches!(o, ChunkOutcome::DeadlineSkipped)));
-    }
-
-    #[test]
     fn failed_chunks_are_isolated_not_fatal() {
         let spec = toy_spec(7);
         let run = run_chunked_durable(

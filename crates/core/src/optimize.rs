@@ -815,6 +815,7 @@ pub fn search_durable(
     // conservative lower bound for pruned ones, NAN for unvisited.
     let mut bounds = vec![f64::NAN; total_points];
     let mut front = ParetoFront::new(opts.objectives);
+    let mut table = DominanceTable::new(space, opts.objectives);
     let mut stats = zero_stats(policy);
     let mut durability = Durability::default();
     let mut evaluated = 0usize;
@@ -859,9 +860,7 @@ pub fn search_durable(
                                 bounds[flat] = lb;
                                 continue;
                             }
-                            let cost = package_cost(space.inductances[li], space.capacitances[ci]);
-                            let speed = speed_figure(space.drivers[ni], space.rise_times[ti]);
-                            if bound_dominated(&front, lb, cost, speed) {
+                            if table.dominated(table.cell((ni, li, ci, ti)), lb) {
                                 pruned_dominated += 1;
                                 bounds[flat] = lb;
                                 continue;
@@ -923,26 +922,30 @@ pub fn search_durable(
         let mut failed = 0usize;
         let mut first_cause: Option<String> = None;
         let mut level_evaluated = 0usize;
-        for outcome in run.chunks {
+        let feasible = |e: &&EvalOut| !cap.is_some_and(|cap| e.vn_lc > cap);
+        for outcome in &run.chunks {
             match outcome {
                 ChunkOutcome::Done(points) => {
-                    for e in &points {
+                    for e in points {
                         bounds[e.flat] = e.vn_lc;
                         level_evaluated += 1;
-                        if cap.is_some_and(|cap| e.vn_lc > cap) {
+                        if !feasible(&e) {
                             over_cap += 1;
-                        } else {
-                            front.insert(make_point(space, e, level));
                         }
                     }
                 }
                 ChunkOutcome::Failed(cause) => {
                     failed += 1;
-                    first_cause.get_or_insert(cause);
+                    first_cause.get_or_insert_with(|| cause.clone());
                 }
                 ChunkOutcome::DeadlineSkipped => {}
             }
         }
+        let done = run.chunks.iter().flat_map(|outcome| match outcome {
+            ChunkOutcome::Done(points) => points.as_slice(),
+            _ => &[],
+        });
+        table.merge(&mut front, space, level, done.filter(feasible));
         evaluated += level_evaluated;
         ssn_telemetry::add("opt.evaluated", level_evaluated as u64);
         if level_evaluated == 0 && failed > 0 {
@@ -1021,28 +1024,133 @@ pub fn level_journal_path(p: &std::path::Path, level: u32) -> PathBuf {
     PathBuf::from(format!("{}.lv{level}", p.display()))
 }
 
-/// `true` when a feasible evaluated front member provably dominates a
-/// point whose noise is only known to be `>= lb`: the witness is no worse
-/// on cost and speed, its noise is at or below the bound, and at least one
-/// comparison is strict (strict noise is strict through the bound).
-fn bound_dominated(front: &ParetoFront, lb: f64, cost: f64, speed: f64) -> bool {
-    let obj = front.objectives;
-    front.members.iter().any(|q| {
-        let qn = q.vn_lc.value();
-        qn <= lb
-            && (!obj.uses_cost() || q.cost <= cost)
-            && (!obj.uses_speed() || q.speed <= speed)
-            && (qn < lb
-                || (obj.uses_cost() && q.cost < cost)
-                || (obj.uses_speed() && q.speed < speed))
-    })
+/// Constant-time dominance queries against every feasible point a search
+/// has evaluated (DESIGN.md §14.1). Cost depends only on `(L, C)` and speed
+/// only on `(N, tr)`, so each grid point sits in a cell `(cost rank, speed
+/// rank)` over the grid's distinct cost and speed values; an objective left
+/// out of the [`ObjectiveSet`] collapses to a single rank. Once sealed, a
+/// cell holds the minimum noise over every added point at or below it in
+/// both ranks, so a dominance test is three lookups making the same
+/// `<`/`<=` comparisons [`dominates`] makes.
+struct DominanceTable {
+    /// Cost rank of each `(l, c)` pair, indexed `l * |C| + c`.
+    cost_rank: Vec<usize>,
+    /// Speed rank of each `(n, tr)` pair, indexed `n * |tr| + tr`.
+    speed_rank: Vec<usize>,
+    c_len: usize,
+    tr_len: usize,
+    /// Distinct speed ranks: the row length of `min_noise`.
+    speeds: usize,
+    /// Minimum noise per cell, one row per cost rank; NaN while empty
+    /// (`f64::min` skips NaN, and every comparison with it is false).
+    min_noise: Vec<f64>,
+}
+
+impl DominanceTable {
+    fn new(space: &DesignSpace, objectives: ObjectiveSet) -> Self {
+        let cost: Vec<f64> = space
+            .inductances
+            .iter()
+            .flat_map(|&l| space.capacitances.iter().map(move |&c| package_cost(l, c)))
+            .collect();
+        let speed: Vec<f64> = space
+            .drivers
+            .iter()
+            .flat_map(|&n| space.rise_times.iter().map(move |&t| speed_figure(n, t)))
+            .collect();
+        let (cost_rank, costs) = ranks(&cost, objectives.uses_cost());
+        let (speed_rank, speeds) = ranks(&speed, objectives.uses_speed());
+        Self {
+            cost_rank,
+            speed_rank,
+            c_len: space.capacitances.len(),
+            tr_len: space.rise_times.len(),
+            speeds,
+            min_noise: vec![f64::NAN; costs * speeds],
+        }
+    }
+
+    /// The cell of grid point `(n_idx, l_idx, c_idx, tr_idx)`.
+    fn cell(&self, (n, l, c, t): (usize, usize, usize, usize)) -> usize {
+        self.cost_rank[l * self.c_len + c] * self.speeds + self.speed_rank[n * self.tr_len + t]
+    }
+
+    /// `true` when an added point dominates a point in `cell` whose noise
+    /// is `x`, or only known to be `>= x`: strictly lower noise at no worse
+    /// cost and speed, or no worse noise at strictly lower cost or speed.
+    /// Exact only after [`DominanceTable::seal`].
+    fn dominated(&self, cell: usize, x: f64) -> bool {
+        let p = &self.min_noise;
+        let w = self.speeds;
+        p[cell] < x
+            || (cell >= w && p[cell - w] <= x)
+            || (!cell.is_multiple_of(w) && p[cell - 1] <= x)
+    }
+
+    /// 2-D prefix minimum over both ranks, in place.
+    fn seal(&mut self) {
+        let w = self.speeds;
+        for i in 0..self.min_noise.len() {
+            let mut v = self.min_noise[i];
+            if i >= w {
+                v = v.min(self.min_noise[i - w]);
+            }
+            if !i.is_multiple_of(w) {
+                v = v.min(self.min_noise[i - 1]);
+            }
+            self.min_noise[i] = v;
+        }
+    }
+
+    /// Merges a batch of feasible evaluated points into `front`: adds them
+    /// to the table and seals it, drops the members it now dominates, and
+    /// admits the batch points it does not. `batch` is walked twice rather
+    /// than collected, so a level never holds a second copy of its results.
+    fn merge<'a>(
+        &mut self,
+        front: &mut ParetoFront,
+        space: &DesignSpace,
+        level: u32,
+        batch: impl Iterator<Item = &'a EvalOut> + Clone,
+    ) {
+        for e in batch.clone() {
+            let cell = self.cell(space.unflat(e.flat));
+            self.min_noise[cell] = self.min_noise[cell].min(e.vn_lc);
+        }
+        self.seal();
+        front.members.retain(|q| {
+            let cell = self.cell((q.n_idx, q.l_idx, q.c_idx, q.tr_idx));
+            !self.dominated(cell, q.vn_lc.value())
+        });
+        for e in batch {
+            if !self.dominated(self.cell(space.unflat(e.flat)), e.vn_lc) {
+                front.members.push(make_point(space, e, level));
+            }
+        }
+    }
+}
+
+/// Each value's rank among the distinct `values` (equal values share one),
+/// and the number of ranks; everything is rank 0 when the axis is unused.
+fn ranks(values: &[f64], used: bool) -> (Vec<usize>, usize) {
+    if !used {
+        return (vec![0; values.len()], 1);
+    }
+    let mut distinct = values.to_vec();
+    distinct.sort_by(f64::total_cmp);
+    distinct.dedup();
+    let rank = values
+        .iter()
+        .map(|v| distinct.partition_point(|d| d < v))
+        .collect();
+    (rank, distinct.len())
 }
 
 /// Exhaustive enumeration reference: evaluates **every** grid point on the
-/// chunked engine and builds the front by pure dominance filtering. This
-/// is the ground truth the differential suite holds [`search`] to, and the
-/// baseline the `opt_scale` bench compares wall time and evaluation counts
-/// against.
+/// chunked engine and builds the front by pure dominance filtering with
+/// [`ParetoFront::insert`], independent of the dominance table [`search`]
+/// uses. This is the ground truth the differential suite
+/// (`tests/optimize_differential.rs`) holds [`search`] to.
 ///
 /// # Errors
 ///
@@ -1165,6 +1273,7 @@ pub fn confirm_front(
 mod tests {
     use super::*;
     use ssn_devices::Asdm;
+    use ssn_numeric::check::forall;
     use ssn_units::Siemens;
 
     fn template() -> SsnScenario {
@@ -1287,6 +1396,133 @@ mod tests {
             let (s, _) = search(&t, &space, &opts, &ExecPolicy::with_threads(threads)).unwrap();
             assert_eq!(base, s, "outcome differs at {threads} threads");
         }
+    }
+
+    /// A grid whose objectives tie: `L_REF/L + C/C_REF` is 2 at both
+    /// (5 nH, 0) and (10 nH, 10 pF), and `tr/N` is 0.25 ns at (1, 0.25 ns),
+    /// (2, 0.5 ns) and (4, 1 ns). Every quotient is exact in binary.
+    fn tie_space() -> DesignSpace {
+        DesignSpace {
+            drivers: vec![1, 2, 3, 4, 6, 8],
+            inductances: [2.5e-9, 5e-9, 10e-9].map(Henrys::new).to_vec(),
+            capacitances: [0.0, 10e-12, 20e-12].map(Farads::new).to_vec(),
+            rise_times: [0.25e-9, 0.5e-9, 1e-9].map(Seconds::new).to_vec(),
+        }
+    }
+
+    /// The front scan the dominance table replaced: `true` when a member
+    /// dominates a point whose noise is only known to be `>= lb`.
+    fn front_scan_dominates(front: &ParetoFront, lb: f64, cost: f64, speed: f64) -> bool {
+        let obj = front.objectives;
+        front.members.iter().any(|q| {
+            let qn = q.vn_lc.value();
+            qn <= lb
+                && (!obj.uses_cost() || q.cost <= cost)
+                && (!obj.uses_speed() || q.speed <= speed)
+                && (qn < lb
+                    || (obj.uses_cost() && q.cost < cost)
+                    || (obj.uses_speed() && q.speed < speed))
+        })
+    }
+
+    /// The dominance table against the pairwise dominance it replaced, on
+    /// point clouds where tied objectives are the rule.
+    #[test]
+    fn dominance_table_matches_pairwise_dominance_on_tie_heavy_clouds() {
+        let space = tie_space();
+        let table = DominanceTable::new(&space, ObjectiveSet::NoiseCostSpeed);
+        let distinct = |ranks: &[usize]| ranks.iter().max().map_or(0, |r| r + 1);
+        assert_eq!(distinct(&table.cost_rank), 6, "9 (L, C) pairs, 6 costs");
+        assert_eq!(
+            distinct(&table.speed_rank),
+            10,
+            "18 (N, tr) pairs, 10 speeds"
+        );
+
+        let total = space.total_points();
+        forall("dominance table equals pairwise dominance", 10, |g| {
+            // Few noise values and a 162-point grid: equal coordinates and
+            // identical vectors are the common case, not the corner case.
+            let levels: Vec<f64> = (0..g.usize_in(1, 8)).map(|_| g.f64_in(0.01, 0.2)).collect();
+            let cloud: Vec<EvalOut> = (0..g.usize_in(1, 2000))
+                .map(|_| EvalOut {
+                    flat: g.usize_in(0, total - 1),
+                    vn_l_only: 0.0,
+                    vn_lc: levels[g.usize_in(0, levels.len() - 1)],
+                    case: MaxSsnCase::LOnly,
+                })
+                .collect();
+            let points: Vec<DesignPoint> = cloud.iter().map(|e| make_point(&space, e, 0)).collect();
+            for objectives in [
+                ObjectiveSet::NoiseCostSpeed,
+                ObjectiveSet::NoiseCost,
+                ObjectiveSet::NoiseSpeed,
+            ] {
+                let mut table = DominanceTable::new(&space, objectives);
+                table.merge(&mut ParetoFront::new(objectives), &space, 0, cloud.iter());
+
+                // (a) The table's verdict on each point is "some other
+                // cloud point dominates it".
+                for (i, p) in points.iter().enumerate() {
+                    let scan = points
+                        .iter()
+                        .enumerate()
+                        .any(|(j, q)| j != i && dominates(q, p, objectives));
+                    let cell = table.cell((p.n_idx, p.l_idx, p.c_idx, p.tr_idx));
+                    if table.dominated(cell, p.vn_lc.value()) != scan {
+                        return Err(format!(
+                            "{objectives:?}: point {i} of {}: table says {}, scan says {scan}",
+                            points.len(),
+                            !scan
+                        ));
+                    }
+                }
+
+                // (b) On bound probes it is the old front scan.
+                let mut inserted = ParetoFront::new(objectives);
+                for p in &points {
+                    inserted.insert(*p);
+                }
+                for _ in 0..500 {
+                    let (n, l, c, t) = space.unflat(g.usize_in(0, total - 1));
+                    let lb = if g.usize_in(0, 1) == 0 {
+                        levels[g.usize_in(0, levels.len() - 1)]
+                    } else {
+                        g.f64_in(0.0, 0.21)
+                    };
+                    let cost = package_cost(space.inductances[l], space.capacitances[c]);
+                    let speed = speed_figure(space.drivers[n], space.rise_times[t]);
+                    let want = front_scan_dominates(&inserted, lb, cost, speed);
+                    if table.dominated(table.cell((n, l, c, t)), lb) != want {
+                        return Err(format!(
+                            "{objectives:?}: probe (lb {lb}, cost {cost}, speed {speed}): \
+                             table disagrees with the front scan ({want})"
+                        ));
+                    }
+                }
+
+                // (c) Merging random batches seals to the point-by-point
+                // front.
+                let mut batched = ParetoFront::new(objectives);
+                let mut table = DominanceTable::new(&space, objectives);
+                let (mut start, mut level) = (0, 0);
+                while start < cloud.len() {
+                    let end = (start + g.usize_in(1, 400)).min(cloud.len());
+                    table.merge(&mut batched, &space, level, cloud[start..end].iter());
+                    (start, level) = (end, level + 1);
+                }
+                batched.seal();
+                inserted.seal();
+                if !batched.same_front(&inserted) {
+                    return Err(format!(
+                        "{objectives:?}: batched front has {} members, inserted front {}",
+                        batched.len(),
+                        inserted.len()
+                    ));
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -182,8 +182,11 @@ impl Waveform {
             let hr = tp - t0;
             // Fit a parabola y0 + b x + a x^2 through the three points
             // (general non-uniform spacing) and take its vertex if it lies
-            // inside the bracket.
-            if hl > 0.0 && hr > 0.0 {
+            // inside the bracket. Only within 4:1 neighbour spacings:
+            // through a near-duplicate sample, such as a transient's sliver
+            // step onto a breakpoint, the vertex can land far above every
+            // sample.
+            if hl > 0.0 && hr > 0.0 && hl <= 4.0 * hr && hr <= 4.0 * hl {
                 let d1 = (ym - y0) / hl;
                 let d2 = (yp - y0) / hr;
                 let a = (d1 + d2) / (hl + hr);
@@ -475,6 +478,38 @@ mod tests {
         let p = w.peak();
         assert!((p.time - 0.43).abs() < 1e-9, "time = {}", p.time);
         assert!((p.value - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lopsided_spacing_around_the_peak_is_not_extrapolated() {
+        // An exact parabola, so a refinement would land on its vertex at
+        // 1.0, above every sample; with one neighbour spacing more than four
+        // times the other the peak must stay the largest sample.
+        for ratio in [4.5, 10.0, 1e3, 1e9] {
+            for sliver_right in [true, false] {
+                let h = 0.1;
+                let sliver = h / ratio;
+                let t0 = 0.5;
+                let mut t: Vec<f64> = (0..=5).map(|i| t0 - h * (5 - i) as f64).collect();
+                if sliver_right {
+                    t.extend([t0 + sliver, t0 + sliver + h]);
+                } else {
+                    t.insert(5, t0 - sliver);
+                    t.extend([t0 + h, t0 + 2.0 * h]);
+                }
+                let v: Vec<f64> = t
+                    .iter()
+                    .map(|&x| 1.0 - (x - t0 - 0.3 * h).powi(2))
+                    .collect();
+                let largest = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let p = Waveform::new(t, v).unwrap().peak();
+                assert!(
+                    p.value <= largest,
+                    "ratio {ratio}, sliver right {sliver_right}: peak {} above largest sample {largest}",
+                    p.value
+                );
+            }
+        }
     }
 
     #[test]

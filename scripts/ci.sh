@@ -17,6 +17,12 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
+echo "== ssn-core crate tests =="
+# The root package's `cargo test` does not run the crates' own tests. The
+# core crate's unit tests cover the optimizer's dominance table, among
+# others; its integration tests run in processes of their own.
+cargo test -q -p ssn-core
+
 echo "== fault injection =="
 cargo test -q --test fault_injection
 
@@ -26,7 +32,7 @@ echo "== telemetry smoke =="
 # does not depend on the CLI or the bench binaries the gates below run, so
 # build them explicitly.
 cargo build --release -p ssn-cli
-cargo build --release -p ssn-bench --bin mc_soa --bin mna_scale --bin opt_scale
+cargo build --release -p ssn-bench --bin mc_soa --bin mna_scale
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 tmp_json="$tmp_dir/telemetry.jsonl"
@@ -231,16 +237,15 @@ grep -q "dim 1032" "$tmp_dir/grids.out" \
 grep -q "all grids within invariants" "$tmp_dir/grids.out" \
     || { echo "ci: grid gate reported violations" >&2; cat "$tmp_dir/grids.out" >&2; exit 1; }
 
-echo "== optimizer gates: differential suite, bench smoke, kill -> resume =="
+echo "== optimizer gates: differential suite, kill -> resume =="
 # The inverse-design tier (DESIGN.md §14): the enumeration-differential
-# suite (optimizer front == brute force, bit for bit, on a seeded corpus),
-# an opt_scale smoke (asserts front identity and real pruning internally),
+# suite (optimizer front == brute force, bit for bit, on a seeded corpus
+# and on a 12 288-point grid, where it also asserts real pruning),
 # and a mid-search kill: SSN_CRASH_AFTER_COMMITS crashes the CLI between
 # per-level journal commits, the restart resumes the journal family, and
 # the resumed CSV front must be byte-identical to an uninterrupted run
 # (--format csv is data-only precisely so this diff can be exact).
 cargo test -q --test optimize_differential
-./target/release/opt_scale 12 8 > /dev/null
 opt_args=(--process p018 --max-drivers 12 --l-points 8 --c-points 2
     --tr-points 2 --threads 2)
 opt_golden="$tmp_dir/opt_golden.csv"

@@ -71,6 +71,42 @@ fn corpus_slice_is_clean_at_paper_budgets() {
     }
 }
 
+/// A corpus slice whose scenario 134 (`C = 0`, N 51) once reported an
+/// 8.4 % L-only error against a 1 % budget. The MNA trace rises to
+/// 0.148378 V, within a microvolt of the closed form, but its last step was
+/// a 5.9e-18 s sliver onto the `t_r` breakpoint, and the peak refinement
+/// extrapolated a parabola through it to 0.1609 V, above the ODE's own
+/// ceiling `V_inf` of 0.1499 V.
+#[test]
+fn sliver_step_slice_is_clean_at_paper_budgets() {
+    let report = oracle::run_differential(&OracleOptions {
+        corpus: 375,
+        seed: 4445627195569915265,
+        policy: TolerancePolicy::paper(),
+        exec: ExecPolicy::with_threads(2),
+        max_repros: 0,
+    })
+    .expect("differential run succeeds");
+    assert_eq!(report.scenarios, 375);
+    assert_eq!(report.failed_chunks, 0);
+    assert_eq!(
+        report.violations,
+        0,
+        "paper budgets violated:\n{}",
+        report.summary_csv()
+    );
+    let l_only = report
+        .cases
+        .iter()
+        .find(|c| c.case == MaxSsnCase::LOnly)
+        .expect("the L-only case is reported");
+    assert!(
+        l_only.max_vn_rel < 1e-4,
+        "L-only max_vn_rel {}",
+        l_only.max_vn_rel
+    );
+}
+
 /// The determinism contract: the summary is bit-identical across thread
 /// counts (scenario i always draws RNG stream (seed, i); aggregation is
 /// order-independent).

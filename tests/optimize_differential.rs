@@ -2,7 +2,7 @@
 //!
 //! The optimizer's contract is *exactness*: on any valid grid its Pareto
 //! front must be **bit-identical** to the front computed by exhaustively
-//! evaluating every point. This suite pins that contract three ways:
+//! evaluating every point. This suite pins that contract four ways:
 //!
 //! 1. a seeded corpus (`ssn_numeric::check`) of random templates, axes,
 //!    objective sets, and noise caps, differenced against
@@ -15,7 +15,10 @@
 //!    with (the two paths must agree bit-for-bit because both reduce to
 //!    pure field-set scenario derivation);
 //! 3. the PR-3 inverse-design helpers `max_simultaneous_drivers` and
-//!    `required_rise_time` as 1-D special cases of the optimizer.
+//!    `required_rise_time` as 1-D special cases of the optimizer;
+//! 4. one large grid (12 288 points, a front of over a thousand members),
+//!    far past the corpus's at most four `N` and `L` values, under an
+//!    unconstrained and two capped option sets.
 
 use std::cell::Cell;
 
@@ -27,6 +30,7 @@ use ssn_lab::core::optimize::{
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::core::{lcmodel, SsnError};
+use ssn_lab::devices::process::Process;
 use ssn_lab::devices::Asdm;
 use ssn_lab::numeric::check::{forall, Gen};
 use ssn_lab::units::{Farads, Henrys, Seconds, Siemens, Volts};
@@ -471,4 +475,60 @@ fn one_axis_search_reproduces_required_rise_time() {
         grid_tr[1].value().to_bits(),
         "the fastest feasible edge must be the first grid value at or above tr_star"
     );
+}
+
+/// The large-grid case: the p018 template on a 48 x 16 x 4 x 4 grid, whose
+/// unconstrained front has over a thousand members, while no corpus case
+/// has more than four `N` or `L` values. Under every option set the search
+/// front is the enumeration front, enumeration visits every point, and the
+/// capped search prunes real work.
+#[test]
+fn search_front_equals_enumeration_front_on_a_large_grid() {
+    let template = SsnScenario::builder(&Process::p018())
+        .rise_time(Seconds::from_nanos(0.5))
+        .build()
+        .expect("p018 template is valid");
+    let space = DesignSpace::around(&template, 48, 16, 4, 4, 4.0).expect("valid space");
+    let total = space.total_points();
+    assert_eq!(total, 12_288);
+    let policy = ExecPolicy::with_threads(2);
+    for (name, objectives, max_noise_frac) in [
+        ("3-obj, unconstrained", ObjectiveSet::NoiseCostSpeed, None),
+        (
+            "3-obj, cap 0.12*Vdd",
+            ObjectiveSet::NoiseCostSpeed,
+            Some(0.12),
+        ),
+        ("noise+cost, cap 0.12", ObjectiveSet::NoiseCost, Some(0.12)),
+    ] {
+        let opts = OptimizeOptions {
+            objectives,
+            max_noise_frac,
+        };
+        let (s, _) = search(&template, &space, &opts, &policy).expect("search");
+        let (e, _) = enumerate(&template, &space, &opts, &policy).expect("enumerate");
+        assert!(
+            s.front.same_front(&e.front),
+            "{name}: search front ({}) != enumeration front ({})",
+            s.front.len(),
+            e.front.len(),
+        );
+        assert_eq!(
+            e.evaluated, total,
+            "{name}: enumeration must visit everything"
+        );
+        if max_noise_frac.is_none() {
+            assert!(
+                s.front.len() > 1000,
+                "{name}: the case needs a large front, got {}",
+                s.front.len()
+            );
+        } else {
+            assert!(
+                s.evaluated < total,
+                "{name}: capped search must evaluate fewer points than enumeration ({} of {total})",
+                s.evaluated,
+            );
+        }
+    }
 }
