@@ -4,10 +4,10 @@
 //!
 //! * **Load** (default): fire a mixed request stream at a server —
 //!   in-process by default, or an external one via `--addr` — and report
-//!   throughput, tail latency, shed rate, and cache hit rate. With
-//!   `--faults` the deterministic network-fault plan (torn bodies,
-//!   mid-response disconnects, injected handler panics) is armed, and the
-//!   run asserts the server kept answering through all of it.
+//!   throughput, tail latency, shed rate, and cache hit rate. Pointed at
+//!   an `ssn serve` started with network faults in `SSN_FAULTS` (torn
+//!   bodies, mid-response disconnects, injected handler panics), the run
+//!   asserts the server kept answering through all of it.
 //! * **Job** (`--job`): submit one durable Monte Carlo job, poll it to
 //!   completion, and print `job <digest> body-fnv <hash>`. The CI gate
 //!   runs this against a server it kills mid-job and again against an
@@ -18,7 +18,6 @@
 
 use ssn_core::durable::fnv1a64;
 use ssn_server::client;
-use ssn_server::netfaults::{self, NetFaultPlan};
 use ssn_server::{Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -33,9 +32,6 @@ options:
                         in-process one
     --requests <n>      total requests to send (default 400)
     --concurrency <n>   client worker threads (default 8)
-    --faults <spec>     arm the deterministic fault plan, e.g.
-                        seed=7,torn=0.1,disconnect=0.1,panic=0.05
-                        (in-process server only)
     --job               crash-safety probe: submit one durable montecarlo
                         job, poll to completion, print its body hash
     --samples <n>       montecarlo samples for --job (default 60000)
@@ -62,13 +58,6 @@ fn main() {
     let (addr, server) = match opts.addr {
         Some(addr) => (addr, None),
         None => {
-            if let Some(spec) = &opts.faults {
-                let Some(plan) = NetFaultPlan::parse(spec) else {
-                    eprintln!("serve_load: bad --faults spec {spec:?}");
-                    std::process::exit(2);
-                };
-                netfaults::arm(plan);
-            }
             let server = match Server::start(ServerConfig::default()) {
                 Ok(s) => s,
                 Err(e) => {
@@ -86,7 +75,6 @@ fn main() {
         load(addr, &opts)
     };
     if let Some(server) = server {
-        netfaults::disarm();
         server.drain();
     }
     std::process::exit(code);
@@ -96,7 +84,6 @@ struct Options {
     addr: Option<SocketAddr>,
     requests: usize,
     concurrency: usize,
-    faults: Option<String>,
     job: bool,
     samples: usize,
     timeout: Duration,
@@ -109,7 +96,6 @@ impl Options {
             addr: None,
             requests: 400,
             concurrency: 8,
-            faults: None,
             job: false,
             samples: 60_000,
             timeout: Duration::from_secs(10),
@@ -129,7 +115,6 @@ impl Options {
                 }
                 "--requests" => o.requests = parse_count(&value("--requests")?)?,
                 "--concurrency" => o.concurrency = parse_count(&value("--concurrency")?)?,
-                "--faults" => o.faults = Some(value("--faults")?),
                 "--samples" => o.samples = parse_count(&value("--samples")?)?,
                 "--timeout" => {
                     o.timeout = Duration::from_secs(parse_count(&value("--timeout")?)? as u64);
@@ -171,14 +156,8 @@ fn target_for(i: usize) -> String {
 
 fn load(addr: SocketAddr, opts: &Options) -> i32 {
     println!(
-        "serve_load: {} requests, {} client thread(s) against http://{addr}{}",
-        opts.requests,
-        opts.concurrency,
-        if opts.faults.is_some() {
-            " (faults armed)"
-        } else {
-            ""
-        }
+        "serve_load: {} requests, {} client thread(s) against http://{addr}",
+        opts.requests, opts.concurrency
     );
     let ok = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(AtomicU64::new(0));

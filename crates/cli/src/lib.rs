@@ -64,16 +64,28 @@ Errors print one structured stderr line: `ssn: error kind=... exit=...: ...`.
 /// Executes the CLI with explicit arguments and output sink.
 ///
 /// `argv` excludes the program name (pass `std::env::args().skip(1)`).
+/// Fault drills (CI, operator rehearsal) set `SSN_FAULTS`
+/// (`ssn_core::faults::FaultPlan::parse`), which arms the plan around the
+/// whole command.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for unknown commands, malformed options, or any
-/// analysis failure; the caller maps it to an exit code.
+/// Returns [`CliError`] for unknown commands, malformed options (a
+/// malformed `SSN_FAULTS` included), or any analysis failure; the caller
+/// maps it to an exit code.
 pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
-    // Storage fault drills (CI, operator rehearsal): a well-formed
-    // `SSN_DISK_FAULTS` arms the deterministic disk-fault injector for
-    // this invocation; unset or malformed leaves the real filesystem.
-    ssn_core::storage::arm_from_env();
+    let Some(text) = std::env::var_os("SSN_FAULTS") else {
+        return dispatch(argv, out);
+    };
+    let plan = text
+        .to_str()
+        .ok_or_else(|| "not UTF-8".to_string())
+        .and_then(ssn_core::faults::FaultPlan::parse)
+        .map_err(|e| CliError::usage(format!("SSN_FAULTS: {e}")))?;
+    ssn_core::faults::with_faults(plan, || dispatch(argv, out))
+}
+
+fn dispatch<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     let Some(command) = argv.first() else {
         writeln!(out, "{USAGE}")?;
         return Err(CliError::usage("missing command"));

@@ -13,7 +13,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
-use crate::hooks;
+use crate::faults;
 use crate::lcmodel;
 use crate::lcmodel::MaxSsnCase;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -182,7 +182,7 @@ pub fn required_rise_time_with_report(
     // to the old direct call; a failing rung degrades to bisection.
     let opts = SolveOptions {
         domain: (tr_peak, t_slow),
-        disabled_rungs: hooks::solver_disabled_rungs(),
+        disabled_rungs: faults::solver_disabled_rungs(),
         ..SolveOptions::with_root(RootOptions {
             x_tol: 1e-16,
             f_tol: 1e-9,
@@ -363,7 +363,7 @@ fn grid_chunk(
     c: usize,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<GridPoint>, SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults::maybe_panic_chunk(c);
     ssn_telemetry::add("grid.points", range.len() as u64);
     // Row-major order means `n` is constant across `inductances.len()`
     // consecutive points, so the `with_drivers` rebuild is hoisted behind

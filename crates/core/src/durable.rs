@@ -56,7 +56,7 @@
 //! payloads included).
 
 use crate::error::{CheckpointErrorKind, SsnError};
-use crate::hooks;
+use crate::faults;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
 use crate::storage;
 use std::collections::BTreeMap;
@@ -225,10 +225,11 @@ impl RunBudget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Arms the process-wide kernel deadline for the lifetime of the
-    /// returned guard (no-op without a wall-clock deadline: the
-    /// deterministic test quota must not leak into kernels, whose poll
-    /// counts are not reproducible).
+    /// Arms the calling thread's kernel deadline for the lifetime of the
+    /// returned guard; the run's workers take it over through
+    /// [`crate::faults::RunScope`]. A no-op without a wall-clock deadline:
+    /// the deterministic test quota must not leak into kernels, whose poll
+    /// counts are not reproducible.
     pub fn arm_kernels(&self) -> Option<ssn_numeric::cancel::DeadlineGuard> {
         self.deadline
             .map(|d| ssn_numeric::cancel::arm(Some(d.saturating_duration_since(Instant::now()))))
@@ -950,7 +951,7 @@ pub struct DurableRun<T> {
 /// * when the budget expires, unstarted chunks come back
 ///   [`ChunkOutcome::DeadlineSkipped`] and in-flight kernels stop at their
 ///   next poll — the caller applies its degradation ladder to the gap;
-/// * a simulated crash (fault plan or `SSN_CRASH_AFTER_COMMITS`) returns
+/// * a simulated crash (the armed fault plan's `crash_after_commits`) returns
 ///   [`SsnError::Interrupted`] after the configured number of commits.
 pub fn run_chunked_durable<T, Enc, Dec, F>(
     spec: &RunSpec,
@@ -1064,7 +1065,7 @@ where
 
     let pending: Vec<usize> = (0..n_chunks).filter(|c| !resumed.contains_key(c)).collect();
 
-    let crash = hooks::checkpoint_crash_plan();
+    let crash = faults::checkpoint_crash_plan();
     let crashed = AtomicBool::new(false);
     let deadline_hit = AtomicBool::new(false);
     struct StoreCell {
@@ -1527,6 +1528,30 @@ mod tests {
             "resume must be bit-identical to the uninterrupted run"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn zero_deadline_skips_everything_without_hanging() {
+        let spec = toy_spec(6);
+        let opts = DurableOptions {
+            checkpoint: None,
+            resume: false,
+            budget: RunBudget::with_deadline(Duration::ZERO),
+        };
+        let run = run_chunked_durable(
+            &spec,
+            &ExecPolicy::with_threads(2),
+            &opts,
+            encode_chunk,
+            decode_chunk,
+            |_, range| Ok(range.map(|i| i as f64).collect()),
+        )
+        .unwrap();
+        assert!(run.deadline_hit);
+        assert!(run
+            .chunks
+            .iter()
+            .all(|o| matches!(o, ChunkOutcome::DeadlineSkipped)));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub enum SsnError {
         /// Human-readable detail (which check failed, expected vs found).
         detail: String,
     },
-    /// A simulated crash (fault injection or `SSN_CRASH_AFTER_COMMITS`)
+    /// A simulated crash (fault injection, e.g. `SSN_FAULTS=crash.after_commits=2`)
     /// killed the run after some chunks were committed to the checkpoint.
     /// Resume with `--resume` to continue from the journal.
     Interrupted {

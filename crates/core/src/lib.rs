@@ -38,9 +38,9 @@
 //! * [`optimize`] — inverse design: a durable coarse-to-fine Pareto
 //!   search over the `(N, L, C, tr)` space whose front is provably
 //!   identical to exhaustive enumeration while evaluating fewer points,
-//! * `faults` — deterministic fault-injection hooks (NaN model outputs,
-//!   worker panics, forced solver failures), compiled in behind the
-//!   `fault-injection` cargo feature and disarmed by default.
+//! * [`faults`] — deterministic fault injection (NaN model outputs, worker
+//!   panics, forced solver failures, crashes, disk and network faults),
+//!   armed for one run at a time and inert otherwise.
 //!
 //! # Examples
 //!
@@ -72,10 +72,8 @@ pub mod bridge;
 pub mod design;
 pub mod durable;
 pub mod error;
-#[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod grids;
-mod hooks;
 pub mod lcmodel;
 pub mod lmodel;
 pub mod montecarlo;

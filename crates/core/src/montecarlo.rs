@@ -44,7 +44,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
-use crate::hooks;
+use crate::faults;
 use crate::lcmodel;
 use crate::lmodel;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -597,12 +597,13 @@ fn mc_chunk_scalar(
     range: Range<usize>,
     out: &mut [f64],
 ) -> Result<(), SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults::maybe_panic_chunk(c);
+    let nan = faults::nan_site();
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
     for (i, slot) in range.zip(out) {
         let _sample_span = ssn_telemetry::span("mc.sample");
-        let v = hooks::inject_nan(i, sample_vn_max(nominal, spec, &mut rng)?);
+        let v = nan.corrupt(i, sample_vn_max(nominal, spec, &mut rng)?);
         if !v.is_finite() {
             return Err(SsnError::invalid(
                 "vn_max",
@@ -630,7 +631,8 @@ fn mc_chunk_batched(
     range: Range<usize>,
     out: &mut [f64],
 ) -> Result<(), SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults::maybe_panic_chunk(c);
+    let nan = faults::nan_site();
     let mut rng = Rng::from_seed_and_stream(seed, c as u64);
     ssn_telemetry::add("mc.samples", range.len() as u64);
     let batch = {
@@ -665,7 +667,7 @@ fn mc_chunk_batched(
         }
     }
     for (j, i) in range.enumerate() {
-        let v = hooks::inject_nan(i, out[j]);
+        let v = nan.corrupt(i, out[j]);
         if !v.is_finite() {
             return Err(SsnError::invalid(
                 "vn_max",

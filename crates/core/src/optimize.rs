@@ -625,7 +625,7 @@ fn eval_chunk(
     chunk: usize,
     range: std::ops::Range<usize>,
 ) -> Result<Vec<EvalOut>, SsnError> {
-    crate::hooks::inject_chunk_panic(chunk);
+    crate::faults::maybe_panic_chunk(chunk);
     ssn_telemetry::add("opt.points", range.len() as u64);
     // Survivors are in ascending flat (row-major) order, so `n` is
     // constant across long stretches; hoist the `with_drivers` rebuild

@@ -33,7 +33,7 @@ use crate::durable::{
     DurableOptions, ParamDigest, RunSpec,
 };
 use crate::error::{CheckpointErrorKind, SsnError};
-use crate::hooks;
+use crate::faults;
 use crate::lcmodel::{self, MaxSsnCase};
 use crate::lmodel;
 use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
@@ -750,7 +750,7 @@ fn oracle_chunk(
     c: usize,
     range: Range<usize>,
 ) -> Result<Vec<ScenarioOutcome>, SsnError> {
-    hooks::inject_chunk_panic(c);
+    faults::maybe_panic_chunk(c);
     ssn_telemetry::add("oracle.scenarios", range.len() as u64);
     range
         .map(|i| {

@@ -35,6 +35,7 @@
 //! assert_eq!(stats.items, 1000);
 //! ```
 
+use crate::faults::RunScope;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -355,9 +356,12 @@ where
         let cursor = AtomicUsize::new(0);
         let busy_ns = AtomicU64::new(0);
         let wait_ns = AtomicU64::new(0);
+        // Workers run under the caller's fault plan and kernel deadline.
+        let run = RunScope::capture();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
+                    let _run = run.enter();
                     let loop_start = Instant::now();
                     let mut compute = Duration::ZERO;
                     loop {

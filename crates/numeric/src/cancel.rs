@@ -1,11 +1,17 @@
-//! Process-wide cooperative deadline checks for long-running kernels.
+//! Cooperative deadline checks for long-running kernels, scoped to the
+//! thread that runs them.
 //!
 //! The durable-execution layer (`ssn-core::durable`) gives a run a
 //! wall-clock budget; chunk boundaries check it between work items, but a
 //! single RKF45 integration or MNA transient can run long past the deadline
-//! on its own. This module is the hook those *inner loops* poll: a single
-//! process-global deadline slot, armed by the layer that owns the budget
-//! and checked with two relaxed atomic loads per iteration.
+//! on its own. This module is the hook those *inner loops* poll: a
+//! thread-local deadline slot, armed by the layer that owns the budget and
+//! checked with one thread-local load per iteration.
+//!
+//! The slot belongs to the thread that arms it. A run that spawns workers
+//! hands its deadline over explicitly ([`deadline`] on the spawning thread,
+//! [`arm_at`] on each worker — `ssn_core::faults::RunScope` does both), so
+//! two runs in one process never see each other's deadline.
 //!
 //! Determinism contract: with no deadline armed, [`deadline_exceeded`]
 //! returns `false` without reading the clock — kernels behave bit-for-bit
@@ -13,112 +19,74 @@
 //! unchanged; only the *cut itself* depends on wall time, and callers are
 //! required to discard (never partially use) the work of a cancelled
 //! kernel, which keeps results a function of the inputs alone.
-//!
-//! Only one deadline is active at a time ([`arm`] returns an RAII guard
-//! that restores the previous state on drop); concurrent runs that each
-//! want a budget must serialize, which the durable layer does.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-/// Deadline state: armed flag + nanoseconds since the process anchor.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static DEADLINE_NS: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// The fixed time origin deadlines are encoded against.
-fn anchor() -> Instant {
-    static ANCHOR: OnceLock<Instant> = OnceLock::new();
-    *ANCHOR.get_or_init(Instant::now)
+thread_local! {
+    static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
-/// Restores the previous deadline state when dropped.
+/// Restores the thread's previous deadline when dropped. Bound to the
+/// thread that armed it.
+#[must_use = "the deadline is disarmed when the guard drops"]
 #[derive(Debug)]
 pub struct DeadlineGuard {
-    prev_armed: bool,
-    prev_ns: u64,
+    prev: Option<Instant>,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for DeadlineGuard {
     fn drop(&mut self) {
-        DEADLINE_NS.store(self.prev_ns, Ordering::Relaxed);
-        ARMED.store(self.prev_armed, Ordering::Relaxed);
+        DEADLINE.set(self.prev);
     }
 }
 
-/// Arms the process-wide deadline `budget` from now; inner loops observe it
-/// through [`deadline_exceeded`] until the returned guard drops.
+/// Arms this thread's deadline `budget` from now; inner loops on this
+/// thread observe it through [`deadline_exceeded`] until the returned guard
+/// drops.
 ///
 /// `None` arms "no deadline" explicitly (useful to mask an outer deadline
 /// for a sub-computation that must run to completion).
 pub fn arm(budget: Option<Duration>) -> DeadlineGuard {
-    let guard = DeadlineGuard {
-        prev_armed: ARMED.load(Ordering::Relaxed),
-        prev_ns: DEADLINE_NS.load(Ordering::Relaxed),
-    };
-    match budget {
-        Some(budget) => {
-            let now = anchor().elapsed();
-            let ns = now.checked_add(budget).map_or(u64::MAX, |t| {
-                u64::try_from(t.as_nanos()).unwrap_or(u64::MAX)
-            });
-            DEADLINE_NS.store(ns, Ordering::Relaxed);
-            ARMED.store(true, Ordering::Relaxed);
-        }
-        None => {
-            ARMED.store(false, Ordering::Relaxed);
-            DEADLINE_NS.store(u64::MAX, Ordering::Relaxed);
-        }
-    }
-    guard
+    arm_at(budget.and_then(|b| Instant::now().checked_add(b)))
 }
 
-/// Time left before the armed deadline (zero once past it), or `None` when
-/// no deadline is armed. Unlike [`deadline_exceeded`] this is *not* a
-/// hot-loop primitive — the network layer uses it to derive per-I/O socket
-/// timeouts from the same budget the kernels poll, so a slow peer cannot
-/// outlive the request deadline by hiding in a blocking read or write.
-pub fn remaining() -> Option<Duration> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
+/// Arms this thread's deadline at the instant `deadline` (`None`: no
+/// deadline) until the returned guard drops — how a worker takes over the
+/// deadline its spawner captured with [`deadline`].
+pub fn arm_at(deadline: Option<Instant>) -> DeadlineGuard {
+    DeadlineGuard {
+        prev: DEADLINE.replace(deadline),
+        _thread: PhantomData,
     }
-    let deadline = DEADLINE_NS.load(Ordering::Relaxed);
-    let now = u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Some(Duration::from_nanos(deadline.saturating_sub(now)))
 }
 
-/// `true` once the armed deadline has passed. Unarmed: always `false`, and
-/// the clock is never read.
+/// The deadline armed on this thread, if any.
+pub fn deadline() -> Option<Instant> {
+    DEADLINE.get()
+}
+
+/// `true` once this thread's armed deadline has passed. Unarmed: always
+/// `false`, and the clock is never read.
 #[inline]
 pub fn deadline_exceeded() -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let deadline = DEADLINE_NS.load(Ordering::Relaxed);
-    u64::try_from(anchor().elapsed().as_nanos()).unwrap_or(u64::MAX) >= deadline
+    DEADLINE.get().is_some_and(|d| Instant::now() >= d)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The deadline slot is process-global; serialize the tests that arm it.
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: OnceLock<std::sync::Mutex<()>> = OnceLock::new();
-        GATE.get_or_init(|| std::sync::Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn unarmed_never_exceeds() {
-        let _gate = serialized();
         assert!(!deadline_exceeded());
+        assert_eq!(deadline(), None);
     }
 
     #[test]
     fn zero_budget_exceeds_immediately_and_guard_restores() {
-        let _gate = serialized();
         {
             let _g = arm(Some(Duration::ZERO));
             assert!(deadline_exceeded());
@@ -128,34 +96,12 @@ mod tests {
 
     #[test]
     fn generous_budget_does_not_fire() {
-        let _gate = serialized();
         let _g = arm(Some(Duration::from_secs(3600)));
         assert!(!deadline_exceeded());
     }
 
     #[test]
-    fn remaining_tracks_the_armed_deadline() {
-        let _gate = serialized();
-        assert_eq!(remaining(), None, "unarmed reports no remaining budget");
-        {
-            let _g = arm(Some(Duration::from_secs(3600)));
-            let left = remaining().expect("armed deadline reports remaining");
-            assert!(left > Duration::from_secs(3000) && left <= Duration::from_secs(3600));
-        }
-        {
-            let _g = arm(Some(Duration::ZERO));
-            assert_eq!(
-                remaining(),
-                Some(Duration::ZERO),
-                "past deadline clamps to zero"
-            );
-        }
-        assert_eq!(remaining(), None, "guard drop restores the unarmed state");
-    }
-
-    #[test]
     fn nested_arms_restore_the_outer_deadline() {
-        let _gate = serialized();
         let _outer = arm(Some(Duration::ZERO));
         assert!(deadline_exceeded());
         {
@@ -163,5 +109,19 @@ mod tests {
             assert!(!deadline_exceeded(), "inner mask must hide the deadline");
         }
         assert!(deadline_exceeded(), "outer deadline restored");
+    }
+
+    #[test]
+    fn a_deadline_reaches_another_thread_only_when_handed_over() {
+        let _g = arm(Some(Duration::ZERO));
+        let captured = deadline();
+        std::thread::scope(|s| {
+            assert!(!s.spawn(deadline_exceeded).join().unwrap());
+            let handed = s.spawn(|| {
+                let _w = arm_at(captured);
+                deadline_exceeded()
+            });
+            assert!(handed.join().unwrap());
+        });
     }
 }

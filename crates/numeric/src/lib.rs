@@ -18,7 +18,6 @@
 //!   (`newton` → `brent` → `bisect` with bracket expansion) that reports
 //!   which rung succeeded,
 //! * [`optimize`] — linear least squares and Levenberg–Marquardt,
-//! * [`interp`] — linear and monotone-cubic interpolation,
 //! * [`ode`] — reference ODE integrators (RK4, adaptive RKF45) used to
 //!   cross-check both the closed-form SSN solutions and the simulator,
 //! * [`stats`] — error metrics, grid helpers, and pinned-order reductions,
@@ -26,7 +25,7 @@
 //!   (the batched Monte Carlo hot path),
 //! * [`rng`] — deterministic, stream-splittable pseudo-random numbers
 //!   (xoshiro256++) for Monte Carlo work,
-//! * [`cancel`] — process-wide cooperative deadline checks polled by the
+//! * [`cancel`] — thread-scoped cooperative deadline checks polled by the
 //!   long-running kernels (RKF45, and the MNA transient loop downstream),
 //! * [`check`] — a minimal deterministic property-testing harness,
 //! * [`shrink`] — deterministic counterexample shrinking toward a
@@ -53,12 +52,10 @@ pub mod check;
 pub mod clu;
 pub mod complex;
 pub mod gmres;
-pub mod interp;
 pub mod lu;
 pub mod matrix;
 pub mod ode;
 pub mod optimize;
-pub mod quadrature;
 pub mod rng;
 pub mod roots;
 pub mod shrink;

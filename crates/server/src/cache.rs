@@ -293,9 +293,9 @@ mod tests {
     fn persistent_write_failure_degrades_to_memory_only_and_recovers() {
         let dir = tmpdir("degrade");
         let c = ResultCache::new(Some(dir.clone())).unwrap();
-        ssn_core::storage::with_disk_faults(
-            ssn_core::storage::DiskFaultPlan {
-                enospc: 1.0,
+        ssn_core::faults::with_faults(
+            ssn_core::faults::FaultPlan {
+                disk_enospc: 1.0,
                 ..Default::default()
             },
             || {

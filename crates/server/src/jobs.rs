@@ -24,6 +24,7 @@
 use crate::api::{ApiError, ApiRequest};
 use crate::cache::ResultCache;
 use ssn_core::durable::{DurableOptions, RunBudget};
+use ssn_core::faults::RunScope;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +118,8 @@ pub struct JobQueue {
 
 impl JobQueue {
     /// Starts `workers` worker threads over a queue of at most `capacity`
-    /// pending jobs, spooling journals and results into `spool`.
+    /// pending jobs, spooling journals and results into `spool`. The
+    /// workers run under the fault plan armed on the calling thread, if any.
     ///
     /// # Errors
     ///
@@ -146,11 +148,16 @@ impl JobQueue {
             let mut st = shared.state.lock().unwrap_or_else(|e| e.into_inner());
             st.live_workers = workers.max(1);
         }
+        let run = RunScope::capture();
         for i in 0..workers.max(1) {
             let shared = Arc::clone(&shared);
+            let run = run.clone();
             std::thread::Builder::new()
                 .name(format!("ssn-job-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?;
+                .spawn(move || {
+                    let _run = run.enter();
+                    worker_loop(&shared);
+                })?;
         }
         Ok(Self { shared })
     }

@@ -25,10 +25,11 @@
 //!   content-addressed cache keyed on the canonical request digest.
 //! * **Graceful drain** ([`server`]): stop accepting, finish or
 //!   checkpoint in-flight work, exit with a documented code.
-//! * **Fault injection** ([`netfaults`]): deterministic torn bodies,
-//!   mid-response disconnects, and injected handler panics — armable in
-//!   release binaries via `SSN_NET_FAULTS`, exercised by the CI smoke
-//!   gate and the `serve_load` generator.
+//! * **Fault injection** (the `net.*` sites of `ssn_core::faults`):
+//!   deterministic torn bodies, mid-response disconnects, and injected
+//!   handler panics — armable in release binaries via `SSN_FAULTS`,
+//!   exercised by the CI smoke gate. A server runs under the fault plan of
+//!   the thread that starts it.
 
 pub mod api;
 pub mod cache;
@@ -36,7 +37,6 @@ pub mod client;
 pub mod http;
 pub mod jobs;
 pub mod json;
-pub mod netfaults;
 pub mod server;
 
 pub use api::{ApiError, ApiRequest, Endpoint};

@@ -22,8 +22,8 @@ use crate::cache::ResultCache;
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobQueue, JobStatus, SubmitOutcome};
 use crate::json::Obj;
-use crate::netfaults;
 use ssn_core::durable::RunBudget;
+use ssn_core::faults::{self, RunScope};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,6 +130,9 @@ struct Shared {
     active: AtomicUsize,
     conn_serial: AtomicU64,
     addr: SocketAddr,
+    /// The fault plan and deadline of the thread that started the server,
+    /// entered by every connection thread.
+    run: RunScope,
 }
 
 /// What a completed drain looked like.
@@ -151,7 +154,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, arms env-configured network faults, and starts accepting.
+    /// Binds and starts accepting. Connection threads and job workers run
+    /// under the fault plan armed on the calling thread, if any.
     ///
     /// # Errors
     ///
@@ -176,8 +180,6 @@ impl Server {
             Arc::clone(&cache),
         )
         .map_err(ServeError::Spool)?;
-        netfaults::arm_from_env();
-        ssn_core::storage::arm_from_env();
 
         let shared = Arc::new(Shared {
             cfg,
@@ -190,6 +192,7 @@ impl Server {
             active: AtomicUsize::new(0),
             conn_serial: AtomicU64::new(0),
             addr,
+            run: RunScope::capture(),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -310,6 +313,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let spawned = std::thread::Builder::new()
             .name(format!("ssn-conn-{serial}"))
             .spawn(move || {
+                let _run = conn_shared.run.enter();
                 handle_connection(stream, serial, &conn_shared);
                 conn_shared.active.fetch_sub(1, Ordering::SeqCst);
             });
@@ -338,7 +342,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
 
     let request = match parsed {
         Ok(mut r) => {
-            if netfaults::torn_body(serial) && !r.body.is_empty() {
+            if faults::torn_body(serial) && !r.body.is_empty() {
                 // Injected transport fault: pretend the peer hung up
                 // mid-body. Must surface exactly like a real torn body.
                 r.body.truncate(r.body.len() / 2);
@@ -367,7 +371,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
     // Handlers are panic-isolated: an injected (or real) panic becomes a
     // typed 500 and the server keeps serving.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        netfaults::maybe_panic_handler(serial);
+        faults::maybe_panic_handler(serial);
         route(&request, shared, &budget)
     }));
     let (status, headers, body) = match outcome {
@@ -386,7 +390,7 @@ fn handle_connection(stream: TcpStream, serial: u64, shared: &Arc<Shared>) {
         }
     };
     track_status(shared, status);
-    if netfaults::disconnect_before_write(serial) {
+    if faults::disconnect_before_write(serial) {
         // Injected mid-response disconnect: drop without writing. The
         // client sees a closed socket; the server must carry on.
         return;

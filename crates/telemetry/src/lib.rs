@@ -79,7 +79,7 @@ pub mod names {
     pub const SERVE_PANICS: &str = "serve.panics";
     /// Current depth of the durable job queue (gauge).
     pub const SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
-    /// Storage faults injected by the `SSN_DISK_FAULTS` layer (test/drill
+    /// Storage faults injected by the `SSN_FAULTS` disk sites (test/drill
     /// observability — zero in production).
     pub const STORAGE_FAULTS: &str = "storage.faults_injected";
     /// Transient storage faults retried by the durable-path retry policy.

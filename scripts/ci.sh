@@ -17,11 +17,12 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
-echo "== ssn-core crate tests =="
-# The root package's `cargo test` does not run the crates' own tests. The
-# core crate's unit tests cover the optimizer's dominance table, among
-# others; its integration tests run in processes of their own.
-cargo test -q -p ssn-core
+echo "== workspace crate tests =="
+# The root package's `cargo test` above does not run the crates' own
+# tests: every other crate's unit tests (the optimizer's dominance table,
+# the fault plan and its parser, the kernel deadline, the server's
+# parsers, among others) run here.
+cargo test -q --workspace --exclude ssn-lab
 
 echo "== fault injection =="
 cargo test -q --test fault_injection
@@ -52,9 +53,17 @@ tmp_repro="$tmp_dir/repro"
 diff -u results/diff1_oracle_summary.csv "$tmp_csv" \
     || { echo "ci: differential summary drifted from results/diff1_oracle_summary.csv" >&2; exit 1; }
 
+echo "== fault plan: a malformed SSN_FAULTS is refused =="
+# A typo in a drill's plan must not run the drill with no faults.
+rc=0
+SSN_FAULTS=disk.enospc=2 ./target/release/ssn estimate --process p018 --drivers 8 \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "ci: a malformed SSN_FAULTS should exit 2 (usage), got $rc" >&2; exit 1; }
+
 echo "== durability: kill -> resume smoke =="
 # Crash the oracle run after two committed chunks (the release binary honors
-# SSN_CRASH_AFTER_COMMITS precisely so CI can exercise a real mid-run kill),
+# SSN_FAULTS=crash.after_commits precisely so CI can exercise a real mid-run kill),
 # resume from the journal, and require the resumed summary to be
 # bit-identical to an uninterrupted run of the same corpus.
 golden_csv="$tmp_dir/durable_golden.csv"
@@ -63,7 +72,7 @@ golden_csv="$tmp_dir/durable_golden.csv"
 ckpt="$tmp_dir/validate.ckpt"
 resumed_csv="$tmp_dir/durable_resumed.csv"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn validate --corpus 120 --seed 1 \
+SSN_FAULTS=crash.after_commits=2 ./target/release/ssn validate --corpus 120 --seed 1 \
     --threads 2 --checkpoint "$ckpt" --repro-dir "$tmp_repro" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
     || { echo "ci: injected crash should exit 12 (interrupted), got $rc" >&2; exit 1; }
@@ -109,7 +118,7 @@ mc_golden="$tmp_dir/mc_golden.out"
     --threads 2 --seed 1 > "$mc_golden"
 mc_ckpt="$tmp_dir/mc.ckpt"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn montecarlo --process p018 \
+SSN_FAULTS=crash.after_commits=2 ./target/release/ssn montecarlo --process p018 \
     --drivers 8 --samples 1536 --threads 2 --seed 1 \
     --checkpoint "$mc_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
@@ -169,7 +178,7 @@ drain_server() {
 }
 
 # --- 1. fault-injection smoke + graceful drain ---
-SSN_NET_FAULTS="seed=7,torn=0.1,disconnect=0.1,panic=0.05" \
+SSN_FAULTS="seed=7,net.torn=0.1,net.disconnect=0.1,net.panic=0.05" \
     start_server "$tmp_dir/serve_faults.log" --addr 127.0.0.1:0 \
     --spool "$tmp_dir/spool_faults"
 ./target/release/serve_load --addr "127.0.0.1:$port" --requests 200 --concurrency 4 \
@@ -241,7 +250,7 @@ echo "== optimizer gates: differential suite, kill -> resume =="
 # The inverse-design tier (DESIGN.md §14): the enumeration-differential
 # suite (optimizer front == brute force, bit for bit, on a seeded corpus
 # and on a 12 288-point grid, where it also asserts real pruning),
-# and a mid-search kill: SSN_CRASH_AFTER_COMMITS crashes the CLI between
+# and a mid-search kill: SSN_FAULTS=crash.after_commits crashes the CLI between
 # per-level journal commits, the restart resumes the journal family, and
 # the resumed CSV front must be byte-identical to an uninterrupted run
 # (--format csv is data-only precisely so this diff can be exact).
@@ -252,7 +261,7 @@ opt_golden="$tmp_dir/opt_golden.csv"
 ./target/release/ssn optimize "${opt_args[@]}" --format csv > "$opt_golden"
 opt_ckpt="$tmp_dir/optimize.ckpt"
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 ./target/release/ssn optimize "${opt_args[@]}" \
+SSN_FAULTS=crash.after_commits=2 ./target/release/ssn optimize "${opt_args[@]}" \
     --checkpoint "$opt_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \
     || { echo "ci: injected optimize crash should exit 12 (interrupted), got $rc" >&2; exit 1; }
@@ -287,7 +296,7 @@ cargo test -q --test storage_faults
 # byte-identical to the fault-free golden run.
 sf_ckpt="$tmp_dir/sf.ckpt"
 sf_degraded="$tmp_dir/sf_degraded.out"
-SSN_DISK_FAULTS="seed=1,enospc=1" ./target/release/ssn montecarlo \
+SSN_FAULTS="seed=1,disk.enospc=1" ./target/release/ssn montecarlo \
     --process p018 --drivers 8 --samples 1536 --threads 2 --seed 1 \
     --checkpoint "$sf_ckpt" > "$sf_degraded" \
     || { echo "ci: full-disk MC run should degrade and exit 0" >&2; exit 1; }
@@ -303,7 +312,7 @@ diff -u <(grep -E "samples:|q[0-9]" "$mc_golden") \
 # must still exit 12, and a fault-off resume must restore exactly those two
 # chunks and reproduce the golden statistics byte for byte.
 rc=0
-SSN_CRASH_AFTER_COMMITS=2 SSN_DISK_FAULTS="seed=2,eio=0.1" \
+SSN_FAULTS="seed=2,disk.eio=0.1,crash.after_commits=2" \
     ./target/release/ssn montecarlo --process p018 --drivers 8 --samples 1536 \
     --threads 2 --seed 1 --checkpoint "$sf_ckpt" > /dev/null || rc=$?
 [ "$rc" -eq 12 ] \

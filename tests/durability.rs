@@ -9,13 +9,13 @@
 //! deterministic commit count; journal damage is injected byte-exactly
 //! with `corrupt_checkpoint`. A checkpoint that fails any structural check
 //! must come back as a typed [`SsnError::Checkpoint`] offering a fresh
-//! start — never a wrong-but-plausible result. An armed crash plan is
-//! process-global, so the tests run one at a time ([`common::serial`]).
-
-mod common;
+//! start — never a wrong-but-plausible result. A crash plan or a deadline
+//! reaches only the run it was armed for, so the tests run side by side.
 
 use ssn_lab::core::design::{sweep_design_grid, sweep_design_grid_durable};
-use ssn_lab::core::durable::{DegradeStep, DurableOptions, RunBudget};
+use ssn_lab::core::durable::{
+    run_chunked_durable, DegradeStep, DurableOptions, RunBudget, RunSpec,
+};
 use ssn_lab::core::error::CheckpointErrorKind;
 use ssn_lab::core::faults::{corrupt_checkpoint, with_faults, FaultPlan, JournalCorruption};
 use ssn_lab::core::montecarlo::{
@@ -29,7 +29,8 @@ use ssn_lab::core::SsnError;
 use ssn_lab::devices::Asdm;
 use ssn_lab::units::{Farads, Henrys, Seconds, Siemens, Volts};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Duration;
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 
@@ -106,7 +107,6 @@ fn assert_bit_identical(got: &[f64], want: &[f64]) {
 
 #[test]
 fn montecarlo_kill_resume_is_bit_identical_at_every_thread_count() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -162,7 +162,6 @@ fn montecarlo_kill_resume_is_bit_identical_at_every_thread_count() {
 /// the batched default unchanged, and vice versa.
 #[test]
 fn montecarlo_checkpoint_resumes_across_evaluation_paths() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -214,7 +213,6 @@ fn montecarlo_checkpoint_resumes_across_evaluation_paths() {
 
 #[test]
 fn sweep_kill_resume_is_bit_identical_at_every_thread_count() {
-    let _serial = common::serial();
     let template = scenario(8);
     let drivers: Vec<usize> = (1..=16).collect();
     let inductances: Vec<Henrys> = (1..=16)
@@ -262,7 +260,6 @@ fn sweep_kill_resume_is_bit_identical_at_every_thread_count() {
 
 #[test]
 fn validate_kill_resume_reproduces_the_summary_at_every_thread_count() {
-    let _serial = common::serial();
     let opts = |threads: usize| OracleOptions {
         corpus: 96,
         seed: 1,
@@ -327,7 +324,6 @@ fn resume_seeded(journal: &TempJournal, seed: u64) -> Result<(), SsnError> {
 
 #[test]
 fn corrupted_journals_are_rejected_with_typed_errors() {
-    let _serial = common::serial();
     let cases: [(JournalCorruption, CheckpointErrorKind); 3] = [
         // Chop bytes off the tail: record bounds / checksum must fail.
         (
@@ -366,7 +362,6 @@ fn corrupted_journals_are_rejected_with_typed_errors() {
 
 #[test]
 fn spec_mismatch_refuses_to_resume_under_different_parameters() {
-    let _serial = common::serial();
     let journal = TempJournal::new("spec");
     seed_journal(&journal);
     // Same journal, different RNG seed: the header must refuse.
@@ -384,7 +379,6 @@ fn spec_mismatch_refuses_to_resume_under_different_parameters() {
 
 #[test]
 fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 4 * MC_CHUNK;
@@ -442,7 +436,6 @@ fn torn_final_write_is_detected_and_a_fresh_start_recovers() {
 
 #[test]
 fn montecarlo_deadline_shrinks_samples_and_records_it() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -467,7 +460,6 @@ fn montecarlo_deadline_shrinks_samples_and_records_it() {
 
 #[test]
 fn sweep_deadline_coarsens_the_grid() {
-    let _serial = common::serial();
     let template = scenario(8);
     let drivers: Vec<usize> = (1..=16).collect();
     let inductances: Vec<Henrys> = (1..=16)
@@ -494,7 +486,6 @@ fn sweep_deadline_coarsens_the_grid() {
 
 #[test]
 fn validate_deadline_degrades_to_closed_form_fallbacks() {
-    let _serial = common::serial();
     let opts = OracleOptions {
         corpus: 96,
         seed: 1,
@@ -521,9 +512,65 @@ fn validate_deadline_degrades_to_closed_form_fallbacks() {
     assert_eq!(counted, 32);
 }
 
+/// A deadline reaches only the run it budgets: while thread A's durable
+/// run sits past its 20 ms deadline (its kernel deadline armed), thread B's
+/// oracle run must finish byte-identical to a solo run.
+#[test]
+fn an_expired_deadline_on_one_thread_leaves_a_concurrent_run_alone() {
+    let oracle = OracleOptions {
+        corpus: 24,
+        seed: 1,
+        exec: ExecPolicy::serial(),
+        ..OracleOptions::default()
+    };
+    let solo = run_differential(&oracle).expect("solo run").summary_csv();
+
+    let hold = RunSpec {
+        kind: "hold",
+        seed: 0,
+        params_hash: 0,
+        n_items: 1,
+        chunk_size: 1,
+    };
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
+    let b_done = AtomicBool::new(false);
+    let concurrent = std::thread::scope(|s| {
+        let b_done = &b_done;
+        let a = s.spawn(move || {
+            let budget = DurableOptions {
+                checkpoint: None,
+                resume: false,
+                budget: RunBudget::with_deadline(Duration::from_millis(20)),
+            };
+            run_chunked_durable(
+                &hold,
+                &ExecPolicy::serial(),
+                &budget,
+                |_: &()| Vec::new(),
+                |_| Ok(()),
+                |_, _| {
+                    started_tx.send(()).expect("the test thread listens");
+                    while !b_done.load(Ordering::SeqCst) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Ok(())
+                },
+            )
+        });
+        started_rx.recv().expect("thread A's chunk started");
+        // B starts once A's deadline has passed.
+        std::thread::sleep(Duration::from_millis(40));
+        let b = s.spawn(|| run_differential(&oracle)).join();
+        b_done.store(true, Ordering::SeqCst);
+        a.join().expect("thread A").expect("thread A's run");
+        b.expect("thread B")
+    });
+    let report = concurrent.expect("thread B's run");
+    assert_eq!(report.summary_csv(), solo);
+}
+
 #[test]
 fn exhausted_budget_is_a_typed_error_not_a_hang() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     // Deterministic zero budget...
@@ -548,7 +595,6 @@ fn exhausted_budget_is_a_typed_error_not_a_hang() {
 
 #[test]
 fn deadline_partial_checkpoint_then_resume_completes_bit_identically() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 6 * MC_CHUNK;
@@ -589,7 +635,6 @@ fn deadline_partial_checkpoint_then_resume_completes_bit_identically() {
 
 #[test]
 fn resume_of_a_complete_journal_restores_everything() {
-    let _serial = common::serial();
     let s = scenario(8);
     let spec = VariationSpec::typical();
     let samples = 4 * MC_CHUNK;

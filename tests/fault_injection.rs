@@ -4,14 +4,11 @@
 //! hold both fault-on (same plan, same results) and fault-off (injection
 //! disarmed is bit-identical to injection absent).
 //!
-//! Faults are injected through `ssn_core::faults` (compiled in behind the
-//! `fault-injection` feature, which the workspace test build enables via
-//! the `ssn-lab` meta-crate). Hooks are disarmed no-ops unless a
-//! [`FaultPlan`] is armed, and a plan is process-global, so the tests in
-//! this binary run one at a time ([`common::serial`]): each other test, and
-//! every other test binary, sees the clean pipeline.
-
-mod common;
+//! Faults are injected through `ssn_core::faults`. Its sites are no-ops
+//! unless a [`FaultPlan`] is armed, and a plan is armed only for the run
+//! inside [`with_faults`] (and the workers that run spawns), so the tests
+//! in this binary run side by side and each other test sees the clean
+//! pipeline.
 
 use ssn_lab::core::design;
 use ssn_lab::core::durable::DurableOptions;
@@ -77,7 +74,6 @@ fn assert_durable_agrees(plan: FaultPlan, policy: &ExecPolicy, plain: &McResult)
 /// counted; the surviving samples are still finite and ordered.
 #[test]
 fn nan_model_outputs_degrade_to_a_partial_result() {
-    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 3,
         nan_probability: 0.002,
@@ -100,7 +96,6 @@ fn nan_model_outputs_degrade_to_a_partial_result() {
 /// reports which fraction of the work survived.
 #[test]
 fn worker_panics_are_isolated_per_chunk() {
-    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -123,7 +118,6 @@ fn worker_panics_are_isolated_per_chunk() {
 /// chunks lost, the retry is visible in telemetry.
 #[test]
 fn retry_budget_rescues_transient_worker_panics() {
-    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -141,7 +135,6 @@ fn retry_budget_rescues_transient_worker_panics() {
 /// empty success.
 #[test]
 fn losing_every_chunk_is_a_typed_error() {
-    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 1,
         panic_probability: 1.0,
@@ -166,7 +159,6 @@ fn losing_every_chunk_is_a_typed_error() {
 /// degradation is visible in the SolveReport rather than silent.
 #[test]
 fn solver_ladder_falls_back_when_a_rung_is_disabled() {
-    let _serial = common::serial();
     let s = scenario(8);
     let budget = Volts::new(0.4);
     let (tr_clean, clean) = design::required_rise_time_with_report(&s, budget).expect("clean");
@@ -202,7 +194,6 @@ fn solver_ladder_falls_back_when_a_rung_is_disabled() {
 /// their `(N, L)` attribution and row-major order.
 #[test]
 fn grid_sweep_survives_chunk_panics_with_partial_points() {
-    let _serial = common::serial();
     let s = scenario(8);
     let ns: Vec<usize> = (1..=10).collect();
     let ls: Vec<Henrys> = (1..=13).map(|l| Henrys::from_nanos(l as f64)).collect();
@@ -240,7 +231,6 @@ fn grid_sweep_survives_chunk_panics_with_partial_points() {
 /// surviving samples and the same loss pattern at every thread count.
 #[test]
 fn injected_faults_are_deterministic() {
-    let _serial = common::serial();
     let plan = FaultPlan {
         seed: 9,
         panic_probability: 0.4,
@@ -260,7 +250,6 @@ fn injected_faults_are_deterministic() {
 /// no harness at all) is bit-identical — the hooks are true no-ops.
 #[test]
 fn disarmed_injection_is_bit_identical_to_no_injection() {
-    let _serial = common::serial();
     let (clean, clean_stats) = mc(None, &ExecPolicy::serial()).expect("clean");
     assert_eq!(clean_stats.failed_chunks, 0);
     let (armed_zero, stats) = mc(Some(FaultPlan::default()), &ExecPolicy::serial())

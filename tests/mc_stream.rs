@@ -152,9 +152,10 @@ impl Drop for JournalCopy {
 
 #[test]
 fn a_v1_stream_journal_is_refused_as_a_spec_mismatch() {
-    // Written by the v1 build's CLI, killed after committing 2 of 6
-    // chunks: `SSN_CRASH_AFTER_COMMITS=2 ssn montecarlo --process p018
-    // --drivers 8 --samples 1536 --threads 1 --seed 1 --checkpoint ...`.
+    // Written by the v1 build's CLI under the crash drill (today spelled
+    // `SSN_FAULTS=crash.after_commits=2`), killed after committing 2 of 6
+    // chunks: `ssn montecarlo --process p018 --drivers 8 --samples 1536
+    // --threads 1 --seed 1 --checkpoint ...`.
     let fixture = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/mc_stream_v1.ckpt"

@@ -13,19 +13,15 @@
 //! * **Injected network faults**: torn bodies, mid-response disconnects,
 //!   and handler panics leave the server serving.
 //!
-//! The network-fault switchboard is process-global, so every test here
-//! serializes on one mutex — a fault plan armed by one test must never
-//! leak into another's server.
+//! A server runs under the fault plan of the thread that starts it, so a
+//! plan armed by one test never reaches another test's server.
 
+use ssn_lab::core::faults::{with_faults, FaultPlan};
 use ssn_lab::numeric::check::{forall, Gen};
-use ssn_lab::server::netfaults::{self, NetFaultPlan};
 use ssn_lab::server::{client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
 use std::time::Duration;
-
-static SERIALIZE: Mutex<()> = Mutex::new(());
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -139,7 +135,6 @@ fn malformed_request(g: &mut Gen) -> Vec<u8> {
 
 #[test]
 fn fuzz_malformed_http_never_panics_the_server() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -178,7 +173,6 @@ fn fuzz_malformed_http_never_panics_the_server() {
 
 #[test]
 fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -209,7 +203,6 @@ fn cache_hit_bytes_equal_miss_bytes_over_the_network() {
 
 #[test]
 fn overloaded_job_queue_sheds_with_retry_after() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(ServerConfig {
         queue_capacity: 1,
         job_workers: 1,
@@ -244,7 +237,6 @@ fn overloaded_job_queue_sheds_with_retry_after() {
 
 #[test]
 fn drain_endpoint_stops_admission_and_closes_the_listener() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
     let server = start(quick_config());
     let addr = server.addr();
 
@@ -266,10 +258,9 @@ fn drain_endpoint_stops_admission_and_closes_the_listener() {
 
 #[test]
 fn injected_network_faults_leave_the_server_serving() {
-    let _guard = SERIALIZE.lock().unwrap_or_else(|e| e.into_inner());
-    let plan = NetFaultPlan::parse("seed=3,torn=0.2,disconnect=0.2,panic=0.2").expect("plan");
-    netfaults::arm(plan);
-    let server = start(quick_config());
+    let plan =
+        FaultPlan::parse("seed=3,net.torn=0.2,net.disconnect=0.2,net.panic=0.2").expect("plan");
+    let server = with_faults(plan, || start(quick_config()));
     let addr = server.addr();
 
     let mut answered = 0u32;
@@ -283,12 +274,21 @@ fn injected_network_faults_leave_the_server_serving() {
             Err(_) => cut += 1,
         }
     }
-    netfaults::disarm();
 
     assert!(answered > 0, "some requests must still be answered");
     assert!(cut > 0, "the plan injects disconnects deterministically");
+    // The server keeps the plan for its whole life. The drill used
+    // connections 0..=59; under seed 3 connection 60 is clean and the plan
+    // drops 61 and 62 before their responses, so the checks below know
+    // which of their requests it eats.
     let health = client::get(addr, "/healthz", TIMEOUT).expect("health after faults");
     assert_eq!(health.status, 200);
+    for conn in 61..=62 {
+        assert!(
+            client::get(addr, "/healthz", TIMEOUT).is_err(),
+            "the seeded plan drops connection {conn}"
+        );
+    }
     assert!(
         metric(addr, "panics_caught") > 0,
         "the seeded plan injects handler panics"

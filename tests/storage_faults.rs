@@ -12,25 +12,25 @@
 //! path is byte-identical to a faultless build.
 //!
 //! Everything runs under `ExecPolicy::serial()` so the storage operation
-//! order (and therefore each seeded fault schedule) is deterministic, and
-//! the tests run one at a time ([`common::serial`]): an armed plan is
-//! process-global, so a concurrent un-armed run would advance its counter.
-
-mod common;
+//! order (and therefore each seeded fault schedule) is deterministic. An
+//! armed plan, its operation counter included, belongs to the one run it
+//! was armed for, so the tests run side by side.
 
 use ssn_lab::core::durable::{DegradeStep, DurableOptions, JournalLock, RunBudget};
 use ssn_lab::core::error::CheckpointErrorKind;
+use ssn_lab::core::faults::{with_faults, FaultPlan};
 use ssn_lab::core::montecarlo::{
     run_monte_carlo_durable, run_monte_carlo_with, VariationSpec, MC_CHUNK,
 };
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
-use ssn_lab::core::storage::{self, ops_performed, with_disk_faults, DiskFaultPlan};
+use ssn_lab::core::storage::ops_performed;
 use ssn_lab::core::SsnError;
 use ssn_lab::devices::Asdm;
 use ssn_lab::units::{Farads, Henrys, Seconds, Siemens, Volts};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Duration;
 
 fn scenario(n: usize) -> SsnScenario {
     let asdm = Asdm::new(Siemens::from_millis(7.5), 1.25, Volts::new(0.6));
@@ -139,13 +139,12 @@ fn run_checkpointed(
 /// the disarmed one: the fault layer itself changes nothing.
 #[test]
 fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
-    let _serial = common::serial();
     let golden = golden();
 
     // Count the run's storage operations with an inert armed plan, and
     // prove the inert layer is invisible in the result.
     let counting = TempJournal::new("count");
-    let total_ops = with_disk_faults(DiskFaultPlan::default(), || {
+    let total_ops = with_faults(FaultPlan::default(), || {
         let (samples, durability) =
             run_checkpointed(counting.path(), false).expect("inert plan must not fail");
         assert!(!durability.is_degraded());
@@ -157,10 +156,10 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
 
     for k in 0..total_ops {
         let journal = TempJournal::new("sweep");
-        let session1 = with_disk_faults(
-            DiskFaultPlan {
-                kill_at: Some(k),
-                ..DiskFaultPlan::default()
+        let session1 = with_faults(
+            FaultPlan {
+                disk_kill_at: Some(k),
+                ..FaultPlan::default()
             },
             || run_checkpointed(journal.path(), false),
         );
@@ -199,13 +198,12 @@ fn power_cut_at_every_operation_index_resumes_or_reruns_bit_identically() {
 
 #[test]
 fn full_disk_degrades_to_uncheckpointed_and_still_delivers_the_result() {
-    let _serial = common::serial();
     let golden = golden();
     let journal = TempJournal::new("enospc");
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
-            enospc: 1.0,
-            ..DiskFaultPlan::default()
+    let (samples, durability) = with_faults(
+        FaultPlan {
+            disk_enospc: 1.0,
+            ..FaultPlan::default()
         },
         || run_checkpointed(journal.path(), false),
     )
@@ -236,45 +234,36 @@ fn full_disk_degrades_to_uncheckpointed_and_still_delivers_the_result() {
 
 #[test]
 fn disk_filling_up_mid_run_degrades_after_the_last_good_commit() {
-    let _serial = common::serial();
     let golden = golden();
     let journal = TempJournal::new("enospc-mid");
     // Let the lock and the first commit (ops 0..=3) through, then the
-    // disk is full for everything after.
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
-            kill_at: None,
-            enospc: 1.0,
-            ..DiskFaultPlan::default()
+    // disk is full for everything after. An inert prefix is impossible to
+    // express with a flat probability, so session 1 runs under an inert
+    // plan and session 2 under the full-disk one.
+    let first = with_faults(FaultPlan::default(), || {
+        run_monte_carlo_durable(
+            &scenario(8),
+            &VariationSpec::typical(),
+            SAMPLES,
+            SEED,
+            &ExecPolicy::serial(),
+            &DurableOptions {
+                checkpoint: Some(journal.path().to_path_buf()),
+                resume: false,
+                budget: RunBudget::expire_after_checks(1),
+            },
+        )
+    });
+    let (partial, _, d) = first.expect("healthy first session");
+    assert!(d.deadline_hit);
+    assert_eq!(partial.len(), MC_CHUNK);
+    // Session 2 resumes onto a disk that has just filled up.
+    let (samples, durability) = with_faults(
+        FaultPlan {
+            disk_enospc: 1.0,
+            ..FaultPlan::default()
         },
-        || {
-            // An inert prefix is impossible to express with a flat
-            // probability, so arm the full-disk plan only after a healthy
-            // first commit by re-arming inside the gate.
-            storage::arm(DiskFaultPlan::default());
-            let s = scenario(8);
-            let first = run_monte_carlo_durable(
-                &s,
-                &VariationSpec::typical(),
-                SAMPLES,
-                SEED,
-                &ExecPolicy::serial(),
-                &DurableOptions {
-                    checkpoint: Some(journal.path().to_path_buf()),
-                    resume: false,
-                    budget: RunBudget::expire_after_checks(1),
-                },
-            );
-            let (partial, _, d) = first.expect("healthy first session");
-            assert!(d.deadline_hit);
-            assert_eq!(partial.len(), MC_CHUNK);
-            // Session 2 resumes onto a disk that has just filled up.
-            storage::arm(DiskFaultPlan {
-                enospc: 1.0,
-                ..DiskFaultPlan::default()
-            });
-            run_checkpointed(journal.path(), true)
-        },
+        || run_checkpointed(journal.path(), true),
     )
     .expect("resume onto a full disk must degrade, not fail");
 
@@ -295,17 +284,16 @@ fn disk_filling_up_mid_run_degrades_after_the_last_good_commit() {
 
 #[test]
 fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
-    let _serial = common::serial();
     let golden = golden();
     // Deterministic schedule: seed 3 at p=0.15 never produces three
     // consecutive failures on any operation, so every retry round clears.
     let journal = TempJournal::new("eio");
-    let (samples, durability) = with_disk_faults(
-        DiskFaultPlan {
+    let (samples, durability) = with_faults(
+        FaultPlan {
             seed: 3,
-            eio: 0.15,
-            fsync: 0.1,
-            ..DiskFaultPlan::default()
+            disk_eio: 0.15,
+            disk_fsync: 0.1,
+            ..FaultPlan::default()
         },
         || run_checkpointed(journal.path(), false),
     )
@@ -327,17 +315,52 @@ fn flaky_eio_is_retried_and_the_run_stays_fully_checkpointed() {
 }
 
 // ---------------------------------------------------------------------------
+// Scope: a plan reaches only the run it was armed for
+// ---------------------------------------------------------------------------
+
+/// While thread A holds a full-disk plan, a checkpointed run on thread B
+/// commits its journal and is not degraded.
+#[test]
+fn a_full_disk_plan_on_one_thread_leaves_a_concurrent_run_alone() {
+    let golden = golden();
+    let journal = TempJournal::new("scoped");
+    let armed = std::sync::Barrier::new(2);
+    let b_done = AtomicBool::new(false);
+    let outcome = std::thread::scope(|s| {
+        s.spawn(|| {
+            let plan = FaultPlan {
+                disk_enospc: 1.0,
+                ..FaultPlan::default()
+            };
+            with_faults(plan, || {
+                armed.wait();
+                while !b_done.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        });
+        armed.wait();
+        let outcome = run_checkpointed(journal.path(), false);
+        b_done.store(true, Ordering::SeqCst);
+        outcome
+    });
+    let (samples, durability) = outcome.expect("thread B's run");
+    assert!(!durability.is_degraded(), "{:?}", durability.degradation);
+    assert!(journal.path().exists(), "thread B wrote its journal");
+    assert_bit_identical(&samples, &golden);
+}
+
+// ---------------------------------------------------------------------------
 // JournalLock under storage faults
 // ---------------------------------------------------------------------------
 
 #[test]
 fn enospc_during_lock_write_leaves_no_partial_lock_file() {
-    let _serial = common::serial();
     let journal = TempJournal::new("lock-enospc");
-    with_disk_faults(
-        DiskFaultPlan {
-            enospc: 1.0,
-            ..DiskFaultPlan::default()
+    with_faults(
+        FaultPlan {
+            disk_enospc: 1.0,
+            ..FaultPlan::default()
         },
         || {
             let err = JournalLock::acquire(journal.path()).expect_err("no space for a lock");
@@ -368,7 +391,6 @@ fn enospc_during_lock_write_leaves_no_partial_lock_file() {
 /// chance to interleave differently.
 #[test]
 fn stale_lock_takeover_race_never_yields_two_live_holders() {
-    let _serial = common::serial();
     for round in 0..25 {
         let journal = TempJournal::new("lock-race");
         // A PID that cannot be alive: PID 0 is the kernel's, never a
@@ -426,17 +448,16 @@ fn stale_lock_takeover_race_never_yields_two_live_holders() {
 
 #[test]
 fn cache_serves_from_memory_when_the_spool_disk_is_full() {
-    let _serial = common::serial();
     use ssn_lab::server::cache::ResultCache;
     let dir = std::env::temp_dir().join(format!("ssn-sf-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
 
     let cache = ResultCache::new(Some(dir.clone())).expect("cache");
-    with_disk_faults(
-        DiskFaultPlan {
-            enospc: 1.0,
-            ..DiskFaultPlan::default()
+    with_faults(
+        FaultPlan {
+            disk_enospc: 1.0,
+            ..FaultPlan::default()
         },
         || {
             cache.put(0xab, b"full-fidelity-result".to_vec());
