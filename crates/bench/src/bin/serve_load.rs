@@ -1,106 +1,76 @@
-//! `serve_load` — load generator and crash-safety probe for `ssn serve`.
+//! `serve_load` — socket client for the `ssn serve` gates in `scripts/ci.sh`.
 //!
-//! Two modes:
+//! Two modes, both against an already-running server (`--addr`):
 //!
-//! * **Load** (default): fire a mixed request stream at a server —
-//!   in-process by default, or an external one via `--addr` — and report
-//!   throughput, tail latency, shed rate, and cache hit rate. Pointed at
-//!   an `ssn serve` started with network faults in `SSN_FAULTS` (torn
-//!   bodies, mid-response disconnects, injected handler panics), the run
-//!   asserts the server kept answering through all of it.
+//! * **Smoke** (default): fire a fixed mixed request stream at the server
+//!   and count the outcomes. Pointed at an `ssn serve` started with network
+//!   faults in `SSN_FAULTS` (torn bodies, mid-response disconnects, injected
+//!   handler panics), the run asserts the server kept answering through all
+//!   of it: it exits 0 only when a clean health check passes at the end.
 //! * **Job** (`--job`): submit one durable Monte Carlo job, poll it to
 //!   completion, and print `job <digest> body-fnv <hash>`. The CI gate
 //!   runs this against a server it kills mid-job and again against an
 //!   untouched server, then compares the hashes: resumed bytes must be
 //!   identical to uninterrupted bytes.
 //!
-//! Run with `cargo run -p ssn-bench --bin serve_load --release -- [options]`.
+//! Speed is measured by `perfbench`'s `serve_mixed` workload, not here.
+//!
+//! Run with `cargo run -p ssn-bench --bin serve_load --release -- --addr <host:port>`.
 
 use ssn_core::durable::fnv1a64;
 use ssn_server::client;
-use ssn_server::{Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const HELP: &str = "\
-usage: serve_load [options]
+usage: serve_load --addr <host:port> [options]
 
 options:
-    --addr <host:port>  target an already-running server instead of an
-                        in-process one
-    --requests <n>      total requests to send (default 400)
-    --concurrency <n>   client worker threads (default 8)
+    --addr <host:port>  the server to drive (required)
     --job               crash-safety probe: submit one durable montecarlo
                         job, poll to completion, print its body hash
     --samples <n>       montecarlo samples for --job (default 60000)
-    --timeout <secs>    per-request client timeout (default 10)
 ";
+
+/// Requests the smoke sends, and the client threads that send them.
+const REQUESTS: usize = 200;
+const CONCURRENCY: usize = 4;
+/// Per-request client timeout.
+const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let opts = match Options::parse(&argv) {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            print!("{HELP}");
+            return;
+        }
         Err(e) => {
             eprintln!("serve_load: {e}");
             eprint!("{HELP}");
             std::process::exit(2);
         }
     };
-    if opts.help {
-        print!("{HELP}");
-        return;
-    }
-
-    // An in-process server keeps the bench self-contained; an external
-    // address makes the same traffic reusable against `ssn serve`.
-    let (addr, server) = match opts.addr {
-        Some(addr) => (addr, None),
-        None => {
-            let server = match Server::start(ServerConfig::default()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("serve_load: cannot start server: {e}");
-                    std::process::exit(1);
-                }
-            };
-            (server.addr(), Some(server))
-        }
-    };
-
     let code = if opts.job {
-        job_probe(addr, opts.samples, opts.timeout)
+        job_probe(opts.addr, opts.samples)
     } else {
-        load(addr, &opts)
+        smoke(opts.addr)
     };
-    if let Some(server) = server {
-        server.drain();
-    }
     std::process::exit(code);
 }
 
 struct Options {
-    addr: Option<SocketAddr>,
-    requests: usize,
-    concurrency: usize,
+    addr: SocketAddr,
     job: bool,
     samples: usize,
-    timeout: Duration,
-    help: bool,
 }
 
 impl Options {
-    fn parse(argv: &[String]) -> Result<Self, String> {
-        let mut o = Self {
-            addr: None,
-            requests: 400,
-            concurrency: 8,
-            job: false,
-            samples: 60_000,
-            timeout: Duration::from_secs(10),
-            help: false,
-        };
+    /// `Ok(None)` when `--help` was asked for.
+    fn parse(argv: &[String]) -> Result<Option<Self>, String> {
+        let (mut addr, mut job, mut samples) = (None, false, 60_000);
         let mut it = argv.iter();
         while let Some(tok) = it.next() {
             let mut value = |name: &str| {
@@ -111,20 +81,16 @@ impl Options {
             match tok.as_str() {
                 "--addr" => {
                     let raw = value("--addr")?;
-                    o.addr = Some(raw.parse().map_err(|_| format!("bad address {raw:?}"))?);
+                    addr = Some(raw.parse().map_err(|_| format!("bad address {raw:?}"))?);
                 }
-                "--requests" => o.requests = parse_count(&value("--requests")?)?,
-                "--concurrency" => o.concurrency = parse_count(&value("--concurrency")?)?,
-                "--samples" => o.samples = parse_count(&value("--samples")?)?,
-                "--timeout" => {
-                    o.timeout = Duration::from_secs(parse_count(&value("--timeout")?)? as u64);
-                }
-                "--job" => o.job = true,
-                "--help" | "-h" => o.help = true,
+                "--samples" => samples = parse_count(&value("--samples")?)?,
+                "--job" => job = true,
+                "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown option {other:?}")),
             }
         }
-        Ok(o)
+        let addr = addr.ok_or("--addr is required")?;
+        Ok(Some(Self { addr, job, samples }))
     }
 }
 
@@ -154,108 +120,50 @@ fn target_for(i: usize) -> String {
     }
 }
 
-fn load(addr: SocketAddr, opts: &Options) -> i32 {
+fn smoke(addr: SocketAddr) -> i32 {
     println!(
-        "serve_load: {} requests, {} client thread(s) against http://{addr}",
-        opts.requests, opts.concurrency
+        "serve_load: {REQUESTS} requests, {CONCURRENCY} client thread(s) against http://{addr}"
     );
-    let ok = Arc::new(AtomicU64::new(0));
-    let shed = Arc::new(AtomicU64::new(0));
-    let client_4xx = Arc::new(AtomicU64::new(0));
-    let server_5xx = Arc::new(AtomicU64::new(0));
-    let transport = Arc::new(AtomicU64::new(0));
-    let next = Arc::new(AtomicUsize::new(0));
-    let latencies_us: Arc<std::sync::Mutex<Vec<u64>>> =
-        Arc::new(std::sync::Mutex::new(Vec::with_capacity(opts.requests)));
-
-    let started = Instant::now();
-    let workers: Vec<_> = (0..opts.concurrency)
-        .map(|_| {
-            let (ok, shed, client_4xx, server_5xx, transport, next, latencies) = (
-                Arc::clone(&ok),
-                Arc::clone(&shed),
-                Arc::clone(&client_4xx),
-                Arc::clone(&server_5xx),
-                Arc::clone(&transport),
-                Arc::clone(&next),
-                Arc::clone(&latencies_us),
-            );
-            let (total, timeout) = (opts.requests, opts.timeout);
-            std::thread::spawn(move || loop {
+    let [ok, shed, client_4xx, server_5xx, transport] = std::array::from_fn(|_| AtomicU64::new(0));
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..CONCURRENCY {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= total {
+                if i >= REQUESTS {
                     break;
                 }
-                let t0 = Instant::now();
-                match client::get(addr, &target_for(i), timeout) {
-                    Ok(resp) => {
-                        let us = t0.elapsed().as_micros() as u64;
-                        latencies.lock().unwrap_or_else(|e| e.into_inner()).push(us);
-                        match resp.status {
-                            200 | 202 => ok.fetch_add(1, Ordering::Relaxed),
-                            503 => shed.fetch_add(1, Ordering::Relaxed),
-                            s if (400..500).contains(&s) => {
-                                client_4xx.fetch_add(1, Ordering::Relaxed)
-                            }
-                            _ => server_5xx.fetch_add(1, Ordering::Relaxed),
-                        };
-                    }
+                let counter = match client::get(addr, &target_for(i), TIMEOUT) {
+                    Ok(resp) => match resp.status {
+                        200 | 202 => &ok,
+                        503 => &shed,
+                        s if (400..500).contains(&s) => &client_4xx,
+                        _ => &server_5xx,
+                    },
                     // Timeouts and injected disconnects land here; the
                     // point of the run is that the *server* survives them.
-                    Err(_) => {
-                        transport.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        let _ = w.join();
-    }
-    let wall = started.elapsed();
-
-    let mut lat = latencies_us
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    lat.sort_unstable();
-    let pct = |q: f64| -> f64 {
-        if lat.is_empty() {
-            return 0.0;
+                    Err(_) => &transport,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
         }
-        let idx = ((lat.len() - 1) as f64 * q).round() as usize;
-        lat[idx] as f64 / 1000.0
-    };
-    let (ok, shed, c4, s5, lost) = (
-        ok.load(Ordering::Relaxed),
-        shed.load(Ordering::Relaxed),
-        client_4xx.load(Ordering::Relaxed),
-        server_5xx.load(Ordering::Relaxed),
-        transport.load(Ordering::Relaxed),
-    );
+    });
+    let [ok, shed, c4, s5, lost] =
+        [ok, shed, client_4xx, server_5xx, transport].map(AtomicU64::into_inner);
     println!("outcome: {ok} ok, {shed} shed (503), {c4} 4xx, {s5} 5xx, {lost} transport errors");
-    println!(
-        "throughput: {:.0} req/s over {:.3} s",
-        opts.requests as f64 / wall.as_secs_f64(),
-        wall.as_secs_f64()
-    );
-    println!(
-        "latency: p50 {:.1} ms  p95 {:.1} ms  p99 {:.1} ms",
-        pct(0.50),
-        pct(0.95),
-        pct(0.99)
-    );
-    match cache_stats(addr, opts.timeout) {
-        Some((hits, misses)) if hits + misses > 0 => println!(
-            "cache: {hits} hit(s), {misses} miss(es) ({:.0}% hit rate)",
-            100.0 * hits as f64 / (hits + misses) as f64
-        ),
-        _ => println!("cache: stats unavailable"),
+
+    // The server's own counters, for the log ci.sh prints when the smoke
+    // fails. A fault plan decides per connection, so this read also fixes
+    // which connection the health probe below lands on: without it, the
+    // probe takes the connection ci.sh's seed-7 plan tears.
+    match client::get(addr, "/metrics", TIMEOUT) {
+        Ok(resp) => println!("metrics: {}", resp.text()),
+        Err(e) => println!("metrics: unavailable ({e})"),
     }
 
     // The liveness bar: whatever was injected, the server must still
     // answer a clean health check at the end of the run.
-    match client::get(addr, "/healthz", opts.timeout) {
+    match client::get(addr, "/healthz", TIMEOUT) {
         Ok(resp) if resp.status == 200 => {
             println!("health: ok after the run");
             0
@@ -267,32 +175,10 @@ fn load(addr: SocketAddr, opts: &Options) -> i32 {
     }
 }
 
-/// Reads `cache_hits` / `cache_misses` off `/metrics`.
-fn cache_stats(addr: SocketAddr, timeout: Duration) -> Option<(u64, u64)> {
-    let body = client::get(addr, "/metrics", timeout).ok()?.text();
-    Some((
-        json_u64(&body, "cache_hits")?,
-        json_u64(&body, "cache_misses")?,
-    ))
-}
-
-/// Pulls one unsigned field out of a flat JSON object (the only shape the
-/// server emits); no parser dependency needed for a bench readout.
-fn json_u64(body: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &body[body.find(&pat)? + pat.len()..];
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 /// Submits one durable job, polls to completion, prints the body hash.
-fn job_probe(addr: SocketAddr, samples: usize, timeout: Duration) -> i32 {
+fn job_probe(addr: SocketAddr, samples: usize) -> i32 {
     let target = format!("/v1/montecarlo?drivers=8&samples={samples}&seed=7");
-    let submitted = match client::get(addr, &target, timeout) {
+    let submitted = match client::get(addr, &target, TIMEOUT) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("serve_load: submit failed: {e}");
@@ -318,7 +204,7 @@ fn job_probe(addr: SocketAddr, samples: usize, timeout: Duration) -> i32 {
                 eprintln!("serve_load: job {digest} did not finish in time");
                 return 1;
             }
-            match client::get(addr, &poll, timeout) {
+            match client::get(addr, &poll, TIMEOUT) {
                 Ok(r) if r.status == 200 => break r.body,
                 Ok(r) if r.status == 202 => {
                     std::thread::sleep(Duration::from_millis(200));
@@ -335,7 +221,7 @@ fn job_probe(addr: SocketAddr, samples: usize, timeout: Duration) -> i32 {
                 // resubmitting the identical request resumes the journal.
                 Err(_) => {
                     std::thread::sleep(Duration::from_millis(200));
-                    let _ = client::get(addr, &target, timeout);
+                    let _ = client::get(addr, &target, TIMEOUT);
                 }
             }
         }

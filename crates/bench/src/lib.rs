@@ -10,14 +10,14 @@
 //! * `fig3` — max SSN vs. driver count against the prior models,
 //! * `fig4` — max SSN and relative error across the damping regions,
 //! * `table1` — the four-case maximum-SSN formula verification,
-//! * `design_space` — Section-3 design implications and ablations.
+//! * `design_space` — Section-3 design implications and ablations,
+//! * `extensions` — the EXT3–EXT5 experiments beyond the paper's figures.
 //!
 //! Binaries print aligned tables to stdout and drop CSV files into
-//! `./results/`. The `benches/` micro-benchmarks are plain binaries built
-//! on the in-repo [`timing`] runner (the workspace builds offline, so no
-//! external benchmark framework is available).
-
-pub mod timing;
+//! `./results/`. Two more binaries are not evaluation artifacts:
+//! `mna_scale` times the sparse MNA tier on synthesized power grids, and
+//! `serve_load` is the socket client of `scripts/ci.sh`'s server gate.
+//! Every other speed number comes from the `perfbench/` harness.
 
 use ssn_core::bridge::{measure, DriverBankConfig, SsnMeasurement};
 use ssn_core::scenario::SsnScenario;

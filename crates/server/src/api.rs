@@ -15,7 +15,6 @@
 //!   thread-count, or resume-history bytes — so a job killed mid-run and
 //!   resumed after restart renders the byte-identical body.
 
-use crate::json::{self, Obj};
 use ssn_core::design;
 use ssn_core::durable::{Durability, DurableOptions, ParamDigest};
 use ssn_core::error::{CheckpointErrorKind, SsnError};
@@ -28,6 +27,7 @@ use ssn_core::parallel::ExecPolicy;
 use ssn_core::scenario::SsnScenario;
 use ssn_core::{lcmodel, lmodel};
 use ssn_devices::process::Process;
+use ssn_telemetry::json::{self, Obj};
 use ssn_units::{Farads, Henrys, Seconds, Volts};
 
 /// A typed service-level error: HTTP status + kebab-case kind + detail.

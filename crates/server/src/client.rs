@@ -1,4 +1,4 @@
-//! A minimal blocking HTTP/1.1 client for tests and the load generator.
+//! A minimal blocking HTTP/1.1 client for tests, the benchmark and `serve_load`.
 //!
 //! Deliberately tiny: one request per connection (`Connection: close`),
 //! `Content-Length` bodies only — exactly the dialect the server speaks.

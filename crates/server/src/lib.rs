@@ -36,7 +36,6 @@ pub mod cache;
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod json;
 pub mod server;
 
 pub use api::{ApiError, ApiRequest, Endpoint};

@@ -21,9 +21,9 @@ use crate::api::{self, ApiError, ApiRequest, Endpoint};
 use crate::cache::ResultCache;
 use crate::http::{self, HttpError, Request};
 use crate::jobs::{JobQueue, JobStatus, SubmitOutcome};
-use crate::json::Obj;
 use ssn_core::durable::RunBudget;
 use ssn_core::faults::{self, RunScope};
+use ssn_telemetry::json::Obj;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};

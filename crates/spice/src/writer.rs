@@ -3,7 +3,7 @@
 //! The inverse of [`crate::parser`], used for interchange and round-trip
 //! testing. MOSFET models must be expressible as `.model` cards
 //! ([`MosModel::model_card_params`]); the built-in alpha-power and Level-1
-//! models are, table models are not.
+//! models are, the ASDM is not.
 
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, ElementKind, NodeId};
@@ -219,7 +219,8 @@ mod tests {
     use super::*;
     use crate::parser::parse_deck;
     use crate::tran::{transient, TranOptions};
-    use ssn_devices::{AlphaPower, MosPolarity, TableModel};
+    use ssn_devices::{AlphaPower, Asdm, MosPolarity};
+    use ssn_units::{Siemens, Volts};
     use std::sync::Arc;
 
     fn ssn_circuit() -> Circuit {
@@ -350,11 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn table_models_are_rejected() {
-        let golden = AlphaPower::builder().build();
-        let table = TableModel::sample(&golden, &[0.0, 1.0, 1.8], &[0.0, 1.0, 1.8], 0.0).unwrap();
+    fn models_without_a_model_card_are_rejected() {
+        let asdm = Asdm::new(Siemens::from_millis(7.5), 1.25, Volts::new(0.6));
         let mut c = Circuit::new();
-        c.mosfet("M1", MosPolarity::Nmos, "d", "g", "0", "0", Arc::new(table))
+        c.mosfet("M1", MosPolarity::Nmos, "d", "g", "0", "0", Arc::new(asdm))
             .expect("valid");
         assert!(matches!(
             write_deck(&c, "t", None),

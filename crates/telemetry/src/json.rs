@@ -1,12 +1,24 @@
-//! A minimal JSON emitter/parser pair for the telemetry sink.
+//! The workspace's one JSON writer, and a parser for checking its output.
 //!
-//! The workspace builds offline with zero dependencies, so the JSON-lines
-//! stream is both written ([`escape`], [`number`]) and validated
-//! ([`validate_lines`]) with in-repo code. The parser is a plain
-//! recursive-descent over the full JSON grammar — small, strict, and only
-//! ever pointed at our own output (one object per line).
+//! The workspace builds offline with zero dependencies, so JSON is both
+//! written ([`escape`], [`number`], [`Obj`], [`array`]) and validated
+//! ([`parse`], [`validate_lines`]) with in-repo code. The telemetry sink,
+//! the HTTP service's response bodies and the benchmark's report lines
+//! all go through this writer.
+//!
+//! The writer is fully pinned, because the service's crash-safety contract
+//! compares raw response bytes (the content-addressed cache and the
+//! kill → resume gate):
+//!
+//! * object fields are emitted in call order, never reordered,
+//! * `f64` values use Rust's shortest round-trip form (`{:?}`), which is
+//!   bit-stable for a given value across runs and platforms,
+//! * strings are escaped per RFC 8259 (quote, backslash, control bytes).
+//!
+//! The parser is a plain recursive-descent over the full JSON grammar —
+//! small, strict, and only ever pointed at our own output.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,6 +102,92 @@ pub fn number(x: f64) -> String {
     } else {
         "null".to_owned()
     }
+}
+
+/// An incrementally built JSON object (field order = call order).
+#[derive(Debug)]
+pub struct Obj {
+    buf: String,
+    first: bool,
+}
+
+impl Obj {
+    /// Starts an empty object.
+    pub fn new() -> Self {
+        Self {
+            buf: String::from("{"),
+            first: true,
+        }
+    }
+
+    fn key(&mut self, k: &str) {
+        if !self.first {
+            self.buf.push(',');
+        }
+        self.first = false;
+        self.buf.push_str(&escape(k));
+        self.buf.push(':');
+    }
+
+    /// Adds a string field.
+    pub fn str(mut self, k: &str, v: &str) -> Self {
+        self.key(k);
+        self.buf.push_str(&escape(v));
+        self
+    }
+
+    /// Adds an `f64` field (see [`number`]).
+    pub fn f64(mut self, k: &str, v: f64) -> Self {
+        self.key(k);
+        self.buf.push_str(&number(v));
+        self
+    }
+
+    /// Adds an unsigned integer field.
+    pub fn u64(mut self, k: &str, v: u64) -> Self {
+        self.key(k);
+        let _ = write!(self.buf, "{v}");
+        self
+    }
+
+    /// Adds a boolean field.
+    pub fn bool(mut self, k: &str, v: bool) -> Self {
+        self.key(k);
+        self.buf.push_str(if v { "true" } else { "false" });
+        self
+    }
+
+    /// Adds a field whose value is already-serialized JSON.
+    pub fn raw(mut self, k: &str, v: &str) -> Self {
+        self.key(k);
+        self.buf.push_str(v);
+        self
+    }
+
+    /// Closes the object and returns its text.
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
+    }
+}
+
+impl Default for Obj {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Joins already-serialized JSON values into an array literal.
+pub fn array(items: &[String]) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(item);
+    }
+    out.push(']');
+    out
 }
 
 /// Parses one JSON document.
@@ -446,9 +544,32 @@ mod tests {
     #[test]
     fn number_is_json_safe() {
         assert_eq!(number(0.5), "0.5");
+        assert_eq!(number(0.1), "0.1");
+        assert_eq!(number(1e-9), "1e-9");
         assert_eq!(number(f64::NAN), "null");
         assert_eq!(number(f64::INFINITY), "null");
         assert!(parse(&number(1e300)).is_ok());
+        // Shortest round trip: the text parses back to the same bits.
+        for x in [0.469_441, 3.3, 1.0 / 3.0, 2.5e-10] {
+            assert_eq!(number(x).parse::<f64>().unwrap().to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn objects_keep_call_order_and_escape_keys_and_values() {
+        let body = Obj::new()
+            .str("kind", "a\"b\\c\nd\u{1}")
+            .u64("drivers", 8)
+            .f64("vn", 0.5)
+            .bool("ok", true)
+            .raw("points", &array(&["1".into(), "2".into()]))
+            .finish();
+        assert_eq!(
+            body,
+            "{\"kind\":\"a\\\"b\\\\c\\nd\\u0001\",\"drivers\":8,\"vn\":0.5,\"ok\":true,\"points\":[1,2]}"
+        );
+        assert_eq!(Obj::new().finish(), "{}");
+        assert_eq!(array(&[]), "[]");
     }
 
     #[test]

@@ -513,6 +513,44 @@ mod tests {
     }
 
     #[test]
+    fn refined_peak_error_falls_at_least_8x_per_halving() {
+        // A Gaussian peaking at 1 at t = 0. The nearest sample sits a fixed
+        // fraction of the local spacing off the peak; left-hand neighbours
+        // are `h` apart, right-hand ones `ratio * h`, every ratio inside the
+        // 4:1 guard. The largest sample alone errs by about offset^2 / 2,
+        // so its worst error falls only 4x per halving of `h`.
+        let worst = |h: f64| {
+            let (mut refined, mut sampled) = (0.0f64, 0.0f64);
+            for ratio in [0.3, 0.6, 1.0, 1.7, 3.5] {
+                for frac in [-0.9, -0.5, -0.2, 0.35, 0.8] {
+                    let offset = frac * 0.5 * h * f64::min(ratio, 1.0);
+                    let t: Vec<f64> = (-6..=6)
+                        .map(|k| offset + f64::from(k) * if k > 0 { ratio * h } else { h })
+                        .collect();
+                    let v: Vec<f64> = t.iter().map(|&x| (-0.5 * x * x).exp()).collect();
+                    sampled = sampled.max(1.0 - v[6]);
+                    let p = Waveform::new(t, v).unwrap().peak();
+                    refined = refined.max((p.value - 1.0).abs());
+                }
+            }
+            (refined, sampled)
+        };
+        let hs = [0.2, 0.1, 0.05, 0.025, 0.0125];
+        for pair in hs.windows(2) {
+            let ((coarse, coarse_sampled), (fine, fine_sampled)) = (worst(pair[0]), worst(pair[1]));
+            assert!(
+                coarse / fine >= 8.0,
+                "h {} -> {}: refined error fell only {:.2}x ({coarse:e} -> {fine:e})",
+                pair[0],
+                pair[1],
+                coarse / fine
+            );
+            // The bound tells the refinement apart from the bare sample.
+            assert!(coarse_sampled / fine_sampled < 8.0);
+        }
+    }
+
+    #[test]
     fn peak_at_boundary_is_returned_unrefined() {
         let w = ramp();
         let p = w.peak();

@@ -33,7 +33,7 @@ echo "== telemetry smoke =="
 # does not depend on the CLI or the bench binaries the gates below run, so
 # build them explicitly.
 cargo build --release -p ssn-cli
-cargo build --release -p ssn-bench --bin mc_soa --bin mna_scale
+cargo build --release -p ssn-bench --bin mna_scale
 tmp_dir="$(mktemp -d)"
 trap 'rm -rf "$tmp_dir"' EXIT
 tmp_json="$tmp_dir/telemetry.jsonl"
@@ -106,13 +106,12 @@ cmp -s tests/fixtures/mc_stream_v1.ckpt "$v1_ckpt" \
     || { echo "ci: the refused stream-v1 journal was modified" >&2; exit 1; }
 
 echo "== batched SoA Monte Carlo gates =="
-# The scalar-vs-batched differential suite, a bench smoke (mc_soa asserts
-# bit-identity internally on both models at 1/2/4/8 threads), and a real
-# mid-run kill of the batched MC path resumed on the *scalar* path: the
-# cross-path resume must report the restored chunks and reproduce the
-# uninterrupted run's statistics exactly.
+# The scalar-vs-batched differential suite (both models, serial and at
+# 2/4/8 threads; telemetry on and off is in the tier-1 determinism suite),
+# and a real mid-run kill of the batched MC path resumed on the *scalar*
+# path: the cross-path resume must report the restored chunks and reproduce
+# the uninterrupted run's statistics exactly.
 cargo test -q --test soa_equivalence
-./target/release/mc_soa 4096 > /dev/null
 mc_golden="$tmp_dir/mc_golden.out"
 ./target/release/ssn montecarlo --process p018 --drivers 8 --samples 1536 \
     --threads 2 --seed 1 > "$mc_golden"
@@ -181,8 +180,7 @@ drain_server() {
 SSN_FAULTS="seed=7,net.torn=0.1,net.disconnect=0.1,net.panic=0.05" \
     start_server "$tmp_dir/serve_faults.log" --addr 127.0.0.1:0 \
     --spool "$tmp_dir/spool_faults"
-./target/release/serve_load --addr "127.0.0.1:$port" --requests 200 --concurrency 4 \
-    > "$tmp_dir/load.out" \
+./target/release/serve_load --addr "127.0.0.1:$port" > "$tmp_dir/load.out" \
     || { echo "ci: serve_load smoke failed under faults" >&2; cat "$tmp_dir/load.out" >&2; exit 1; }
 grep -q "health: ok" "$tmp_dir/load.out" \
     || { echo "ci: server unhealthy after fault smoke" >&2; exit 1; }

@@ -7,7 +7,9 @@
 //! contract end to end through the public APIs.
 
 use ssn_lab::core::design::sweep_design_grid;
-use ssn_lab::core::montecarlo::{run_monte_carlo_with, VariationSpec, MC_CHUNK};
+use ssn_lab::core::montecarlo::{
+    run_monte_carlo_with, run_monte_carlo_with_path, McPath, VariationSpec, MC_CHUNK,
+};
 use ssn_lab::core::parallel::ExecPolicy;
 use ssn_lab::core::scenario::SsnScenario;
 use ssn_lab::core::telemetry;
@@ -170,11 +172,18 @@ fn telemetry_on_and_off_are_bit_identical_at_every_thread_count() {
     let drivers: Vec<usize> = (1..=12).collect();
     let inductances: Vec<Henrys> = (1..=6).map(|l| Henrys::from_nanos(l as f64)).collect();
 
+    // The scalar path opens spans per sample, the batched path per chunk.
+    let paths = [McPath::Batched, McPath::Scalar];
+
     for threads in [1usize, 2, 4, 8] {
         let policy = ExecPolicy::with_threads(threads);
+        let mc = |path| {
+            run_monte_carlo_with_path(&s, &spec, n_samples, seed, &policy, path)
+                .expect("mc")
+                .0
+        };
         // Telemetry off (no session): the baseline.
-        let (mc_off, _) =
-            run_monte_carlo_with(&s, &spec, n_samples, seed, &policy).expect("mc off");
+        let mc_off = paths.map(mc);
         let (grid_off, _) =
             sweep_design_grid(&s, &drivers, &inductances, &policy).expect("grid off");
 
@@ -182,19 +191,20 @@ fn telemetry_on_and_off_are_bit_identical_at_every_thread_count() {
         let session = telemetry::Session::start();
         let (mc_on, grid_on) = {
             let _root = telemetry::span("test.determinism");
-            let (mc_on, _) =
-                run_monte_carlo_with(&s, &spec, n_samples, seed, &policy).expect("mc on");
+            let mc_on = paths.map(mc);
             let (grid_on, _) =
                 sweep_design_grid(&s, &drivers, &inductances, &policy).expect("grid on");
             (mc_on, grid_on)
         };
         let report = session.finish();
 
-        assert_eq!(
-            mc_on.samples(),
-            mc_off.samples(),
-            "telemetry changed Monte Carlo samples at {threads} threads"
-        );
+        for ((path, on), off) in paths.iter().zip(&mc_on).zip(&mc_off) {
+            assert_eq!(
+                on.samples(),
+                off.samples(),
+                "telemetry changed {path} Monte Carlo samples at {threads} threads"
+            );
+        }
         assert_eq!(
             grid_on, grid_off,
             "telemetry changed the design grid at {threads} threads"
@@ -213,7 +223,7 @@ fn telemetry_on_and_off_are_bit_identical_at_every_thread_count() {
         );
         assert_eq!(
             report.counter("mc.samples"),
-            Some(n_samples as u64),
+            Some((paths.len() * n_samples) as u64),
             "mc.samples counter wrong at {threads} threads"
         );
         assert_eq!(

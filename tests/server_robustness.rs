@@ -12,10 +12,14 @@
 //!   completes cleanly, and the listener actually goes away.
 //! * **Injected network faults**: torn bodies, mid-response disconnects,
 //!   and handler panics leave the server serving.
+//! * **Pinned bytes**: status lines and bodies of every endpoint, an error
+//!   of each kind and a job submission are fixed byte for byte, so a change
+//!   to how bodies are encoded cannot pass as a change to two runs alike.
 //!
 //! A server runs under the fault plan of the thread that starts it, so a
 //! plan armed by one test never reaches another test's server.
 
+use ssn_lab::core::durable::fnv1a64;
 use ssn_lab::core::faults::{with_faults, FaultPlan};
 use ssn_lab::numeric::check::{forall, Gen};
 use ssn_lab::server::{client, Server, ServerConfig};
@@ -294,4 +298,73 @@ fn injected_network_faults_leave_the_server_serving() {
         "the seeded plan injects handler panics"
     );
     assert!(server.drain().clean);
+}
+
+#[test]
+fn response_bodies_are_pinned_byte_for_byte() {
+    let spool = std::env::temp_dir().join(format!("ssn-body-pins-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    let server = start(ServerConfig {
+        spool: Some(spool.clone()),
+        ..quick_config()
+    });
+    let addr = server.addr();
+    let get = |target: &str| client::get(addr, target, TIMEOUT).expect(target);
+
+    let literal = [
+        ("/healthz", 200, r#"{"status":"ok","draining":false}"#),
+        (
+            "/nope",
+            404,
+            r#"{"error":{"kind":"not-found","status":404,"detail":"no such path \"/nope\""}}"#,
+        ),
+        (
+            "/v1/estimate?drivers=0",
+            400,
+            r#"{"error":{"kind":"invalid-input","status":400,"detail":"invalid input: drivers = 0 (need at least one driver)"}}"#,
+        ),
+        // Past the sync ceiling, so a durable job on a fresh spool.
+        (
+            "/v1/montecarlo?drivers=8&samples=4096&seed=3",
+            202,
+            r#"{"status":"queued","job":"a2806ffe45bb63f1","poll":"/v1/jobs/a2806ffe45bb63f1"}"#,
+        ),
+    ];
+    for (target, status, body) in literal {
+        let resp = get(target);
+        assert_eq!(
+            (resp.status, resp.text().as_str()),
+            (status, body),
+            "{target}"
+        );
+    }
+    let put = client::request(addr, "PUT", "/v1/estimate", None, TIMEOUT).expect("PUT");
+    assert_eq!(put.status, 405);
+    assert_eq!(put.header("allow"), Some("GET, POST"));
+    assert_eq!(
+        put.text(),
+        r#"{"error":{"kind":"method-not-allowed","status":405,"detail":"PUT not supported; use GET or POST"}}"#
+    );
+
+    let hashed = [
+        ("/v1/estimate?drivers=8", 0x16f9_a54a_cb93_f8a4),
+        ("/v1/budget?drivers=8&budget=0.45", 0xa4ac_84e8_dfea_82d5),
+        ("/v1/sweep?max-drivers=6", 0x7db3_c6c9_1a76_a692),
+        (
+            "/v1/optimize?max-drivers=5&l-points=3&c-points=2&tr-points=2",
+            0x8173_6abd_b708_4bee,
+        ),
+        (
+            "/v1/montecarlo?drivers=6&samples=512&seed=9",
+            0x4c4a_c882_2996_ccb4,
+        ),
+        ("/v1/validate?corpus=1", 0xd232_8c0f_c0a5_c582),
+    ];
+    for (target, fnv) in hashed {
+        let resp = get(target);
+        assert_eq!(resp.status, 200, "{target}: {}", resp.text());
+        assert_eq!(fnv1a64(&resp.body), fnv, "{target}: {}", resp.text());
+    }
+    assert!(server.drain().clean);
+    let _ = std::fs::remove_dir_all(&spool);
 }
