@@ -38,6 +38,10 @@ const REQUESTS: usize = 200;
 const CONCURRENCY: usize = 4;
 /// Per-request client timeout.
 const TIMEOUT: Duration = Duration::from_secs(10);
+/// Tries of the final health probe, each on a fresh connection, and the
+/// pause between them.
+const PROBE_TRIES: usize = 10;
+const PROBE_GAP: Duration = Duration::from_millis(200);
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -153,26 +157,29 @@ fn smoke(addr: SocketAddr) -> i32 {
     println!("outcome: {ok} ok, {shed} shed (503), {c4} 4xx, {s5} 5xx, {lost} transport errors");
 
     // The server's own counters, for the log ci.sh prints when the smoke
-    // fails. A fault plan decides per connection, so this read also fixes
-    // which connection the health probe below lands on: without it, the
-    // probe takes the connection ci.sh's seed-7 plan tears.
+    // fails.
     match client::get(addr, "/metrics", TIMEOUT) {
         Ok(resp) => println!("metrics: {}", resp.text()),
         Err(e) => println!("metrics: unavailable ({e})"),
     }
 
     // The liveness bar: whatever was injected, the server must still
-    // answer a clean health check at the end of the run.
-    match client::get(addr, "/healthz", TIMEOUT) {
-        Ok(resp) if resp.status == 200 => {
-            println!("health: ok after the run");
-            0
+    // answer a clean health check at the end of the run. A fault plan
+    // decides per connection, so the probe retries on fresh connections
+    // and fails only when every try does.
+    let mut last = None;
+    for _ in 0..PROBE_TRIES {
+        match client::get(addr, "/healthz", TIMEOUT) {
+            Ok(resp) if resp.status == 200 => {
+                println!("health: ok after the run");
+                return 0;
+            }
+            other => last = Some(other),
         }
-        other => {
-            eprintln!("serve_load: server unhealthy after the run: {other:?}");
-            1
-        }
+        std::thread::sleep(PROBE_GAP);
     }
+    eprintln!("serve_load: server unhealthy after the run: {last:?}");
+    1
 }
 
 /// Submits one durable job, polls to completion, prints the body hash.

@@ -20,9 +20,10 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// The help block shared by every durable command (`montecarlo`, `sweep`,
-/// `validate`).
-pub(crate) const DURABLE_HELP: &str = "\
-    --checkpoint <path> journal chunk results to <path>, committed
+/// `validate`, `optimize`). It starts on the opening quote's line: a `\`
+/// continuation would eat the first line's indentation.
+pub(crate) const DURABLE_HELP: &str =
+    "    --checkpoint <path> journal chunk results to <path>, committed
                         atomically after every chunk (crash-safe)
     --resume            restore committed chunks from the --checkpoint
                         journal instead of recomputing them; the final
@@ -31,24 +32,21 @@ pub(crate) const DURABLE_HELP: &str = "\
                         on overrun the run keeps the completed work and
                         records every fidelity downgrade in the run footer";
 
-/// Reads the three durable flags. `None` when none of them was given — the
-/// command then takes its original, byte-identical output path.
+/// Reads the three durable flags into the run's options:
+/// [`DurableOptions::none`] when none of them was given, so the run reads
+/// and writes no journal and never expires.
 ///
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] for `--resume` without `--checkpoint` or a
 /// non-positive `--deadline`.
-pub(crate) fn durable_options(args: &ParsedArgs) -> Result<Option<DurableOptions>, CliError> {
+pub(crate) fn durable_options(args: &ParsedArgs) -> Result<DurableOptions, CliError> {
     let checkpoint = args.value("checkpoint").map(PathBuf::from);
     let resume = args.flag("resume");
-    let deadline = args.parsed::<Seconds>("deadline")?;
-    if checkpoint.is_none() && !resume && deadline.is_none() {
-        return Ok(None);
-    }
     if resume && checkpoint.is_none() {
         return Err(CliError::usage("--resume needs --checkpoint <path>"));
     }
-    let budget = match deadline {
+    let budget = match args.parsed::<Seconds>("deadline")? {
         None => RunBudget::unlimited(),
         Some(t) => {
             if !(t.value() > 0.0) || !t.value().is_finite() {
@@ -59,11 +57,11 @@ pub(crate) fn durable_options(args: &ParsedArgs) -> Result<Option<DurableOptions
             RunBudget::with_deadline(std::time::Duration::from_secs_f64(t.value()))
         }
     };
-    Ok(Some(DurableOptions {
+    Ok(DurableOptions {
         checkpoint,
         resume,
         budget,
-    }))
+    })
 }
 
 /// What `--telemetry[=json:<path>]` asked for.
@@ -167,12 +165,11 @@ mod tests {
         let parse = |items: &[&str]| {
             ParsedArgs::parse(&argv(items), &["checkpoint", "deadline"], &["resume"]).unwrap()
         };
-        // No flags: the original output path.
-        assert!(durable_options(&parse(&[])).unwrap().is_none());
+        // No flags: no journal, no budget.
+        let d = durable_options(&parse(&[])).unwrap();
+        assert!(d.checkpoint.is_none() && !d.resume && d.budget.remaining().is_none());
         // Checkpoint alone.
-        let d = durable_options(&parse(&["--checkpoint", "run.ckpt"]))
-            .unwrap()
-            .unwrap();
+        let d = durable_options(&parse(&["--checkpoint", "run.ckpt"])).unwrap();
         assert_eq!(
             d.checkpoint.as_deref(),
             Some(std::path::Path::new("run.ckpt"))
@@ -184,12 +181,10 @@ mod tests {
             Err(CliError::Usage { .. })
         ));
         // Deadline parses as an SI-suffixed quantity of seconds.
-        assert!(durable_options(&parse(&["--deadline", "30s"]))
-            .unwrap()
-            .is_some());
-        assert!(durable_options(&parse(&["--deadline", "500m"]))
-            .unwrap()
-            .is_some());
+        for t in ["30s", "500m"] {
+            let d = durable_options(&parse(&["--deadline", t])).unwrap();
+            assert!(d.budget.remaining().is_some(), "{t}");
+        }
         assert!(durable_options(&parse(&["--deadline", "0"])).is_err());
         assert!(durable_options(&parse(&["--deadline", "-5s"])).is_err());
     }

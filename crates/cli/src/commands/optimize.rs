@@ -4,12 +4,11 @@
 use super::{durable_options, resolve_process, with_telemetry, TelemetryMode, DURABLE_HELP};
 use crate::args::ParsedArgs;
 use crate::error::CliError;
-use ssn_core::durable::Durability;
 use ssn_core::optimize::{
-    confirm_front, search, search_durable, DesignPoint, DesignSpace, ObjectiveSet, OptimizeOptions,
+    confirm_front, search_durable, DesignPoint, DesignSpace, ObjectiveSet, OptimizeOptions,
     OptimizeOutcome,
 };
-use ssn_core::parallel::{ExecPolicy, ExecStats};
+use ssn_core::parallel::ExecPolicy;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_units::Seconds;
@@ -127,17 +126,8 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     };
 
     with_telemetry(&telemetry, "cli.optimize", out, |out| {
-        let (outcome, stats, durability): (OptimizeOutcome, ExecStats, Option<Durability>) =
-            match &durable {
-                None => {
-                    let (o, s) = search(&template, &space, &opts, &policy)?;
-                    (o, s, None)
-                }
-                Some(d) => {
-                    let (o, s, dur) = search_durable(&template, &space, &opts, &policy, d)?;
-                    (o, s, Some(dur))
-                }
-            };
+        let (outcome, stats, durability) =
+            search_durable(&template, &space, &opts, &policy, &durable)?;
         if outcome.front.is_empty() {
             return Err(CliError::NoFeasiblePoint {
                 cap: max_noise_frac.unwrap_or(0.0) * template.vdd().value(),
@@ -150,7 +140,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
                 if let Some(k) = confirm {
                     render_confirm(out, &template, &outcome, k, &process)?;
                 }
-                write!(out, "{}", run_footer(&stats, durability.as_ref()))?;
+                write!(out, "{}", run_footer(&stats, &durability))?;
             }
             Format::Csv => render_csv(out, &outcome)?,
             Format::Json => render_json(out, &outcome)?,

@@ -6,10 +6,10 @@ use crate::error::CliError;
 use ssn_core::baselines::{senthinathan_prince, song, vemuru, BaselineInputs};
 use ssn_core::bridge::{measure, DriverBankConfig};
 use ssn_core::durable::{
-    fnv1a64, run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    ParamDigest, RunSpec,
+    fnv1a64, run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, ParamDigest,
+    RunSpec,
 };
-use ssn_core::parallel::{par_map, ExecPolicy};
+use ssn_core::parallel::ExecPolicy;
 use ssn_core::report::run_footer;
 use ssn_core::scenario::SsnScenario;
 use ssn_core::{lcmodel, lmodel, SsnError};
@@ -91,9 +91,8 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     ]);
 
     with_telemetry(&telemetry, "cli.sweep", out, |out| {
-        // One table row (the cells for N = `n` drivers), shared by the
-        // plain and the durable paths. `with_sim` controls the (slow)
-        // golden-device reference column.
+        // One table row (the cells for N = `n` drivers). `with_sim`
+        // controls the (slow) golden-device reference column.
         let make_row = |n: usize, with_sim: bool| -> Result<Vec<String>, SsnError> {
             let _row_span = ssn_core::telemetry::span("sweep.row");
             let s = base.with_drivers(n)?;
@@ -119,106 +118,90 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
             Ok(row)
         };
 
-        // Each row is independent (the simulation column dominates the cost),
-        // so fan rows out over the engine; output order is the input order.
-        let (rows, stats, durability) = match &durable {
-            None => {
-                let ns: Vec<usize> = (1..=max_n).collect();
-                let (row_results, stats) = par_map(&ns, &policy, |&n| make_row(n, simulate));
-                let rows = row_results
-                    .into_iter()
-                    .collect::<Result<Vec<Vec<String>>, SsnError>>()?;
-                (rows, stats, None)
-            }
-            Some(d) => {
-                let mut digest = ParamDigest::new("sweep-rows");
-                digest
-                    .push_u64(fnv1a64(process.name().as_bytes()))
-                    .push_f64(tr.value())
-                    .push_u64(u64::from(simulate));
-                let spec = RunSpec {
-                    kind: "sweep-rows",
-                    seed: 0,
-                    params_hash: digest.finish(),
-                    n_items: max_n,
-                    chunk_size: 1,
-                };
-                let run = run_chunked_durable(
-                    &spec,
-                    &policy,
-                    d,
-                    |rows: &Vec<Vec<String>>| {
-                        let mut w = ByteWriter::new();
-                        w.put_usize(rows.len());
-                        for row in rows {
-                            w.put_usize(row.len());
-                            for cell in row {
-                                w.put_str(cell);
-                            }
-                        }
-                        w.into_vec()
-                    },
-                    |r: &mut ByteReader<'_>| {
-                        let n_rows = r.take_usize()?;
-                        (0..n_rows)
-                            .map(|_| {
-                                let cells = r.take_usize()?;
-                                (0..cells).map(|_| r.take_str()).collect()
-                            })
-                            .collect()
-                    },
-                    |_, range| {
-                        range
-                            .map(|idx| make_row(idx + 1, simulate))
-                            .collect::<Result<Vec<Vec<String>>, SsnError>>()
-                    },
-                )?;
-                let mut durability = Durability {
-                    resumed_chunks: run.resumed_chunks,
-                    deadline_hit: run.deadline_hit,
-                    degradation: Vec::new(),
-                };
-                let stats = run.stats;
-                let mut rows: Vec<Vec<String>> = Vec::with_capacity(max_n);
-                let mut full_rows = 0usize;
-                let mut degraded_rows = 0usize;
-                for (c, outcome) in run.chunks.into_iter().enumerate() {
-                    match outcome {
-                        ChunkOutcome::Done(rs) => {
-                            full_rows += rs.len();
-                            rows.extend(rs);
-                        }
-                        ChunkOutcome::Failed(first_cause) => {
-                            return Err(SsnError::AllChunksFailed {
-                                failed: 1,
-                                total: max_n,
-                                first_cause,
-                            }
-                            .into());
-                        }
-                        ChunkOutcome::DeadlineSkipped => {
-                            // Last ladder rung for skipped rows: the cheap
-                            // closed forms still fill the table; the slow
-                            // simulated column degrades to "-".
-                            for idx in spec.range(c) {
-                                let mut row = make_row(idx + 1, false)?;
-                                if simulate {
-                                    row.insert(SIM_COLUMN, "-".to_owned());
-                                    degraded_rows += 1;
-                                } else {
-                                    full_rows += 1;
-                                }
-                                rows.push(row);
-                            }
-                        }
+        // Each row is independent (the simulation column dominates the
+        // cost), so rows fan out over the runner one per chunk; output
+        // order is the input order.
+        let mut digest = ParamDigest::new("sweep-rows");
+        digest
+            .push_u64(fnv1a64(process.name().as_bytes()))
+            .push_f64(tr.value())
+            .push_u64(u64::from(simulate));
+        let spec = RunSpec {
+            kind: "sweep-rows",
+            seed: 0,
+            params_hash: digest.finish(),
+            n_items: max_n,
+            chunk_size: 1,
+        };
+        let run = run_chunked_durable(
+            &spec,
+            &policy,
+            &durable,
+            |_, rows: &Vec<Vec<String>>| {
+                let mut w = ByteWriter::new();
+                w.put_usize(rows.len());
+                for row in rows {
+                    w.put_usize(row.len());
+                    for cell in row {
+                        w.put_str(cell);
                     }
                 }
-                if degraded_rows > 0 {
-                    durability.note_degrade(DegradeStep::ClosedFormOnly, max_n, full_rows);
+                w.into_vec()
+            },
+            |_, r: &mut ByteReader<'_>| {
+                let n_rows = r.take_usize()?;
+                (0..n_rows)
+                    .map(|_| {
+                        let cells = r.take_usize()?;
+                        (0..cells).map(|_| r.take_str()).collect()
+                    })
+                    .collect()
+            },
+            |_, range| {
+                range
+                    .map(|idx| make_row(idx + 1, simulate))
+                    .collect::<Result<Vec<Vec<String>>, SsnError>>()
+            },
+        )?;
+        let (stats, mut durability) = (run.stats, run.durability);
+        let mut rows: Vec<Vec<String>> = Vec::with_capacity(max_n);
+        let mut full_rows = 0usize;
+        let mut degraded_rows = 0usize;
+        for (c, outcome) in run.chunks.into_iter().enumerate() {
+            match outcome {
+                ChunkOutcome::Done(rs) => {
+                    full_rows += rs.len();
+                    rows.extend(rs);
                 }
-                (rows, stats, Some(durability))
+                // A table with a hole never prints.
+                ChunkOutcome::Failed(first_cause) => {
+                    return Err(SsnError::AllChunksFailed {
+                        failed: stats.failed_chunks,
+                        total: max_n,
+                        first_cause,
+                    }
+                    .into());
+                }
+                ChunkOutcome::DeadlineSkipped => {
+                    // Last ladder rung for skipped rows: the cheap closed
+                    // forms still fill the table; the slow simulated column
+                    // degrades to "-".
+                    for idx in spec.range(c) {
+                        let mut row = make_row(idx + 1, false)?;
+                        if simulate {
+                            row.insert(SIM_COLUMN, "-".to_owned());
+                            degraded_rows += 1;
+                        } else {
+                            full_rows += 1;
+                        }
+                        rows.push(row);
+                    }
+                }
             }
-        };
+        }
+        if degraded_rows > 0 {
+            durability.note_degrade(DegradeStep::ClosedFormOnly, max_n, full_rows);
+        }
 
         // Render aligned.
         let widths: Vec<usize> = (0..header.len())
@@ -242,7 +225,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
         for r in &rows {
             writeln!(out, "{}", fmt(r))?;
         }
-        write!(out, "{}", run_footer(&stats, durability.as_ref()))?;
+        write!(out, "{}", run_footer(&stats, &durability))?;
 
         if let Some(path) = args.value("csv") {
             let mut text = header.join(",");

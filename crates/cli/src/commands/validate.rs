@@ -110,13 +110,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
     let durable = durable_options(&args)?;
 
     with_telemetry(&telemetry, "cli.validate", out, |out| {
-        let (report, durability) = match &durable {
-            Some(d) => {
-                let (report, durability) = oracle::run_differential_durable(&opts, d)?;
-                (report, Some(durability))
-            }
-            None => (oracle::run_differential(&opts)?, None),
-        };
+        let (report, durability) = oracle::run_differential_durable(&opts, &durable)?;
 
         writeln!(
             out,
@@ -146,7 +140,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
 
         if report.violations == 0 {
             writeln!(out, "all scenarios within budget")?;
-            write!(out, "{}", run_footer(&report.stats, durability.as_ref()))?;
+            write!(out, "{}", run_footer(&report.stats, &durability))?;
             return Ok(());
         }
         writeln!(
@@ -168,7 +162,7 @@ pub fn run<W: Write>(argv: &[String], out: &mut W) -> Result<(), CliError> {
                 r.violation
             )?;
         }
-        write!(out, "{}", run_footer(&report.stats, durability.as_ref()))?;
+        write!(out, "{}", run_footer(&report.stats, &durability))?;
         Err(CliError::Validation {
             violations: report.violations,
         })

@@ -470,6 +470,7 @@ mod tests {
             "impedance",
             "fit",
             "validate",
+            "optimize",
             "serve",
         ] {
             let (res, text) = run_to_string(&[cmd, "--help"]);
@@ -479,5 +480,85 @@ mod tests {
                 "{cmd}: {text}"
             );
         }
+        // The durable commands append a shared flag block; every line of
+        // their help that names a flag sits in the indented options list.
+        for cmd in ["montecarlo", "sweep", "validate", "optimize"] {
+            let (_, text) = run_to_string(&[cmd, "--help"]);
+            assert!(text.contains("--checkpoint <path>"), "{cmd}: {text}");
+            for line in text.lines().filter(|l| l.trim_start().starts_with("--")) {
+                assert!(line.starts_with("    "), "{cmd}: unindented {line:?}");
+            }
+        }
+    }
+
+    /// Every chunked command ends on the same footer. A fresh run, with or
+    /// without a budget it never reaches, prints exactly one `run:` line;
+    /// on a full disk the run sheds its journal, succeeds, and says so.
+    #[test]
+    fn durable_command_footers() {
+        let dir = std::env::temp_dir().join(format!("ssn_cli_footer_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let commands: [&[&str]; 4] = [
+            &[
+                "montecarlo",
+                "--process",
+                "p018",
+                "--drivers",
+                "4",
+                "--samples",
+                "600",
+            ],
+            &[
+                "sweep",
+                "--process",
+                "p018",
+                "--max-drivers",
+                "3",
+                "--no-simulation",
+            ],
+            &["validate", "--corpus", "9"],
+            &[
+                "optimize",
+                "--process",
+                "p018",
+                "--max-drivers",
+                "4",
+                "--l-points",
+                "2",
+                "--c-points",
+                "1",
+                "--tr-points",
+                "1",
+            ],
+        ];
+        for cmd in commands {
+            for extra in [&[][..], &["--deadline", "3600"]] {
+                let argv = [cmd, &["--threads", "2"], extra].concat();
+                let (res, text) = run_to_string(&argv);
+                assert!(res.is_ok(), "{argv:?}: {text}");
+                let footer: Vec<&str> = text
+                    .lines()
+                    .skip_while(|l| !l.starts_with("run: "))
+                    .collect();
+                assert_eq!(footer.len(), 1, "{argv:?}: {text}");
+                assert!(
+                    !footer[0].contains("elapsed across sessions"),
+                    "{argv:?}: {text}"
+                );
+            }
+            let ckpt = dir.join(format!("{}.ckpt", cmd[0]));
+            let argv = [cmd, &["--checkpoint", ckpt.to_str().expect("utf8 path")]].concat();
+            let full_disk = ssn_core::faults::FaultPlan {
+                disk_enospc: 1.0,
+                ..ssn_core::faults::FaultPlan::default()
+            };
+            let (res, text) = ssn_core::faults::with_faults(full_disk, || run_to_string(&argv));
+            assert!(res.is_ok(), "{argv:?}: {text}");
+            assert!(
+                text.contains("degraded: checkpoint-disabled"),
+                "{argv:?}: {text}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

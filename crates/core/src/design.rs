@@ -9,14 +9,14 @@
 //! how should switching be staggered?*
 
 use crate::durable::{
-    run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    run_chunked_durable, ByteReader, ByteWriter, DegradeStep, Durability, DurableOptions,
+    ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
 use crate::faults;
 use crate::lcmodel;
 use crate::lcmodel::MaxSsnCase;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{ExecPolicy, ExecStats};
 use crate::scenario::SsnScenario;
 use ssn_numeric::optimize::golden_section;
 use ssn_numeric::roots::RootOptions;
@@ -284,38 +284,14 @@ pub fn sweep_design_grid(
     inductances: &[Henrys],
     policy: &ExecPolicy,
 ) -> Result<(Vec<GridPoint>, ExecStats), SsnError> {
-    validate_grid(drivers, inductances)?;
-    let n_points = drivers.len() * inductances.len();
-    let _run_span = ssn_telemetry::span("grid.run");
-    let (chunks, mut stats) = try_run_chunked(n_points, GRID_CHUNK, policy, |c, range| {
-        grid_chunk(template, drivers, inductances, c, range)
-    });
-    let total = chunks.len();
-    let mut points = Vec::with_capacity(n_points);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for chunk in chunks {
-        match chunk {
-            Ok(Ok(ps)) => points.extend(ps),
-            Ok(Err(e)) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-            Err(e) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-        }
-    }
-    stats.failed_chunks = failed;
-    if points.is_empty() {
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_else(|| "unknown".into()),
-        });
-    }
-    Ok((points, stats))
+    sweep_design_grid_durable(
+        template,
+        drivers,
+        inductances,
+        policy,
+        &DurableOptions::none(),
+    )
+    .map(|(points, stats, _)| (points, stats))
 }
 
 fn validate_grid(drivers: &[usize], inductances: &[Henrys]) -> Result<(), SsnError> {
@@ -353,9 +329,8 @@ fn validate_grid(drivers: &[usize], inductances: &[Henrys]) -> Result<(), SsnErr
     Ok(())
 }
 
-/// Evaluates one grid chunk in row-major order. The shared body of the
-/// plain and durable runners — both must produce identical chunk results
-/// for the resume invariant to hold.
+/// Evaluates one grid chunk in row-major order: a pure function of the
+/// grid and the chunk index, so a restored chunk equals a recomputed one.
 fn grid_chunk(
     template: &SsnScenario,
     drivers: &[usize],
@@ -447,7 +422,7 @@ pub fn sweep_design_grid_durable(
         &run_spec,
         policy,
         durable,
-        |points: &Vec<GridPoint>| {
+        |_, points: &Vec<GridPoint>| {
             let mut w = ByteWriter::new();
             w.put_usize(points.len());
             for p in points {
@@ -459,7 +434,7 @@ pub fn sweep_design_grid_durable(
             }
             w.into_vec()
         },
-        |r: &mut ByteReader<'_>| {
+        |_, r: &mut ByteReader<'_>| {
             let n = r.take_usize()?;
             (0..n)
                 .map(|_| {
@@ -480,48 +455,12 @@ pub fn sweep_design_grid_durable(
                 .collect()
         },
         |c, range| grid_chunk(template, drivers, inductances, c, range),
-    )?;
+    )?
+    .delivered(n_points)?;
 
-    let mut durability = Durability {
-        resumed_chunks: run.resumed_chunks,
-        deadline_hit: run.deadline_hit,
-        degradation: Vec::new(),
-    };
-    if let Some(d) = &run.checkpoint_degraded {
-        durability.note_degrade(
-            DegradeStep::Uncheckpointed,
-            d.total_chunks,
-            d.committed_chunks,
-        );
-    }
-    let total = run.stats.chunks;
-    let mut points = Vec::with_capacity(n_points);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for outcome in run.chunks {
-        match outcome {
-            ChunkOutcome::Done(ps) => points.extend(ps),
-            ChunkOutcome::Failed(cause) => {
-                failed += 1;
-                first_cause.get_or_insert(cause);
-            }
-            ChunkOutcome::DeadlineSkipped => {}
-        }
-    }
-    if points.is_empty() {
-        if run.deadline_hit && failed == 0 {
-            return Err(SsnError::DeadlineExhausted {
-                completed_items: 0,
-                planned_items: n_points,
-            });
-        }
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_else(|| "unknown".into()),
-        });
-    }
-    if run.deadline_hit && points.len() < n_points {
+    let points: Vec<GridPoint> = run.done().flat_map(|(_, ps)| ps.iter().copied()).collect();
+    let mut durability = run.durability;
+    if durability.deadline_hit && points.len() < n_points {
         durability.note_degrade(DegradeStep::CoarsenGrid, n_points, points.len());
     }
     Ok((points, run.stats, durability))

@@ -57,7 +57,7 @@
 
 use crate::error::{CheckpointErrorKind, SsnError};
 use crate::faults;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{try_run_chunked, ChunkError, ExecPolicy, ExecStats};
 use crate::storage;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -889,7 +889,8 @@ pub struct DurableOptions {
 }
 
 impl DurableOptions {
-    /// No checkpoint, no budget — behaves like the non-durable entry point.
+    /// No checkpoint, no budget: the run reads and writes no journal and
+    /// never expires.
     pub fn none() -> Self {
         Self::default()
     }
@@ -906,42 +907,70 @@ pub enum ChunkOutcome<T> {
     DeadlineSkipped,
 }
 
-/// How a run lost its checkpointing to persistent storage failure while
-/// its computation carried on (see [`DegradeStep::Uncheckpointed`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointDegraded {
-    /// Chunk commits that reached disk before journaling stopped.
-    pub committed_chunks: usize,
-    /// The run's total chunk count.
-    pub total_chunks: usize,
-    /// The persistent fault that disabled journaling.
-    pub detail: String,
-}
-
-/// A durable run's full outcome: per-chunk results in chunk order plus
-/// engine statistics and durability facts.
+/// A durable run after the one collect step every workload shares:
+/// per-chunk results in chunk order, engine statistics, and the run's
+/// durability facts. Each workload adds only its own degradation-ladder
+/// step.
 #[derive(Debug)]
 pub struct DurableRun<T> {
     /// One outcome per chunk, in chunk order.
     pub chunks: Vec<ChunkOutcome<T>>,
-    /// Engine statistics ([`ExecStats::checkpointed_chunks`] and
-    /// [`ExecStats::elapsed_wall`] filled in).
+    /// Engine statistics, with [`ExecStats::failed_chunks`],
+    /// [`ExecStats::checkpointed_chunks`] and [`ExecStats::elapsed_wall`]
+    /// filled in.
     pub stats: ExecStats,
-    /// Chunks restored from the checkpoint.
-    pub resumed_chunks: usize,
-    /// Whether the budget expired during the run.
-    pub deadline_hit: bool,
-    /// `Some` when persistent storage failure disabled journaling mid-run;
-    /// callers fold it into their [`Durability`] as a
-    /// [`DegradeStep::Uncheckpointed`] event.
-    pub checkpoint_degraded: Option<CheckpointDegraded>,
+    /// Restored chunks, whether the budget expired, and a
+    /// [`DegradeStep::Uncheckpointed`] event when persistent storage
+    /// failure stopped journaling mid-run.
+    pub durability: Durability,
 }
 
-/// Runs `spec`'s chunks with checkpoint/resume and a deadline budget.
+impl<T> DurableRun<T> {
+    /// The run, when at least one chunk finished. Otherwise its typed
+    /// failure: [`SsnError::DeadlineExhausted`] when the budget skipped
+    /// every chunk and none failed, else [`SsnError::AllChunksFailed`]
+    /// naming the first failed chunk's cause.
+    pub fn delivered(self, planned_items: usize) -> Result<Self, SsnError> {
+        if self.done().next().is_some() {
+            return Ok(self);
+        }
+        if self.durability.deadline_hit && self.stats.failed_chunks == 0 {
+            return Err(SsnError::DeadlineExhausted {
+                completed_items: 0,
+                planned_items,
+            });
+        }
+        let first_cause = self.chunks.into_iter().find_map(|o| match o {
+            ChunkOutcome::Failed(cause) => Some(cause),
+            _ => None,
+        });
+        Err(SsnError::AllChunksFailed {
+            failed: self.stats.failed_chunks,
+            total: self.stats.chunks,
+            first_cause: first_cause.unwrap_or_default(),
+        })
+    }
+
+    /// The finished chunks — evaluated or restored — with their indices,
+    /// in chunk order.
+    pub fn done(&self) -> impl Iterator<Item = (usize, &T)> + Clone {
+        self.chunks.iter().enumerate().filter_map(|(c, o)| match o {
+            ChunkOutcome::Done(v) => Some((c, v)),
+            _ => None,
+        })
+    }
+}
+
+/// Runs `spec`'s chunks with checkpoint/resume and a deadline budget: the
+/// one runner behind every chunked workload. With
+/// [`DurableOptions::none`] it reads and writes no journal and never
+/// expires.
 ///
 /// `eval(chunk, range)` computes one chunk (it must be a pure function of
-/// `(spec.seed, chunk)` for the resume invariant to hold); `encode`/`decode`
-/// give the chunk result a bit-exact byte round-trip for the journal.
+/// `(spec.seed, chunk)` for the resume invariant to hold);
+/// `encode(chunk, &result)`/`decode(chunk, reader)` give the chunk result a
+/// bit-exact byte round-trip for the journal. `encode` runs only when a
+/// journal will take the payload.
 ///
 /// Contract:
 /// * every completed chunk is committed atomically before the run moves on,
@@ -963,8 +992,8 @@ pub fn run_chunked_durable<T, Enc, Dec, F>(
 ) -> Result<DurableRun<T>, SsnError>
 where
     T: Send,
-    Enc: Fn(&T) -> Vec<u8> + Sync,
-    Dec: Fn(&mut ByteReader<'_>) -> Result<T, SsnError>,
+    Enc: Fn(usize, &T) -> Vec<u8> + Sync,
+    Dec: Fn(usize, &mut ByteReader<'_>) -> Result<T, SsnError>,
     F: Fn(usize, Range<usize>) -> Result<T, SsnError> + Sync,
 {
     let _span = ssn_telemetry::span("durable.run");
@@ -980,17 +1009,15 @@ where
     // because a run that could not take the lock writes no journal either.
     // A lock held by a live process stays a typed refusal, and a simulated
     // power cut stays fatal (a dead process cannot degrade-and-continue).
-    let mut early_degrade: Option<String> = None;
+    let mut early_degrade = false;
     let _journal_lock: Option<JournalLock> = match &opts.checkpoint {
         Some(path) => match JournalLock::acquire(path) {
             Ok(lock) => Some(lock),
-            Err(
-                e @ SsnError::Checkpoint {
-                    kind: CheckpointErrorKind::Io,
-                    ..
-                },
-            ) if !storage::simulated_death() => {
-                early_degrade = Some(e.to_string());
+            Err(SsnError::Checkpoint {
+                kind: CheckpointErrorKind::Io,
+                ..
+            }) if !storage::simulated_death() => {
+                early_degrade = true;
                 None
             }
             Err(e) => return Err(e),
@@ -1017,7 +1044,7 @@ where
     // recomputing them is bit-identical to resuming.
     let mut resumed: BTreeMap<usize, T> = BTreeMap::new();
     let store: Option<CheckpointStore> = match &opts.checkpoint {
-        Some(_) if early_degrade.is_some() => None,
+        Some(_) if early_degrade => None,
         Some(path) => {
             if opts.resume && path.exists() {
                 match CheckpointStore::load(path) {
@@ -1025,8 +1052,8 @@ where
                         s.verify_spec(spec)?;
                         for (&c, payload) in s.records() {
                             let mut r = ByteReader::new(payload);
-                            let value =
-                                decode(&mut r).map_err(|e| rewrap_payload_err(path, c, e))?;
+                            let value = decode(c as usize, &mut r)
+                                .map_err(|e| rewrap_payload_err(path, c, e))?;
                             if !r.is_empty() {
                                 return Err(SsnError::checkpoint(
                                     path.display().to_string(),
@@ -1038,13 +1065,11 @@ where
                         }
                         Some(s)
                     }
-                    Err(
-                        e @ SsnError::Checkpoint {
-                            kind: CheckpointErrorKind::Io,
-                            ..
-                        },
-                    ) if !storage::simulated_death() => {
-                        early_degrade = Some(e.to_string());
+                    Err(SsnError::Checkpoint {
+                        kind: CheckpointErrorKind::Io,
+                        ..
+                    }) if !storage::simulated_death() => {
+                        early_degrade = true;
                         None
                     }
                     Err(e) => return Err(e),
@@ -1055,149 +1080,133 @@ where
         }
         None => None,
     };
-    if early_degrade.is_some() && ssn_telemetry::enabled() {
+    if early_degrade && ssn_telemetry::enabled() {
         ssn_telemetry::add(ssn_telemetry::names::STORAGE_DEGRADED, 1);
     }
     let prior_elapsed = store
         .as_ref()
         .map_or(Duration::ZERO, CheckpointStore::prior_elapsed);
     let resumed_count = resumed.len();
-
-    let pending: Vec<usize> = (0..n_chunks).filter(|c| !resumed.contains_key(c)).collect();
+    // Restored chunks pass through the engine in their own slots, so its
+    // results come back in chunk order; only runs that resumed lock this.
+    let resumed = Mutex::new(resumed);
 
     let crash = faults::checkpoint_crash_plan();
     let crashed = AtomicBool::new(false);
     let deadline_hit = AtomicBool::new(false);
+    // Cleared when journaling stops: from then on, as in a run without a
+    // journal, a finished chunk is neither encoded nor locked for.
+    let journaling = AtomicBool::new(store.is_some());
     struct StoreCell {
         store: Option<CheckpointStore>,
         commits: usize,
         commit_error: Option<SsnError>,
-        degraded: Option<CheckpointDegraded>,
+        /// Commits that reached disk before persistent storage failure
+        /// stopped journaling.
+        degraded_after: Option<usize>,
     }
     let cell = Mutex::new(StoreCell {
         store,
         commits: 0,
         commit_error: None,
-        degraded: early_degrade.map(|detail| CheckpointDegraded {
-            committed_chunks: 0,
-            total_chunks: n_chunks,
-            detail,
-        }),
+        degraded_after: early_degrade.then_some(0),
     });
 
     // Kernel-level cooperative cancellation for the duration of the run.
     let _kernel_guard = opts.budget.arm_kernels();
 
-    let (results, engine_stats) = try_run_chunked(pending.len(), 1, policy, |i, _| {
-        let c = pending[i];
-        if crashed.load(Ordering::SeqCst) {
-            // The simulated kill already fired: the process is "dead", no
-            // further chunks run.
-            return Ok(None);
-        }
-        if opts.budget.expired() {
-            deadline_hit.store(true, Ordering::SeqCst);
-            return Ok(None);
-        }
-        match eval(c, spec.range(c)) {
-            Err(e) if e.is_cancelled() => {
-                deadline_hit.store(true, Ordering::SeqCst);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-            Ok(value) => {
-                let payload = encode(&value);
-                let mut guard = cell.lock().unwrap_or_else(|e| e.into_inner());
-                if !crashed.load(Ordering::SeqCst) {
-                    let elapsed = prior_elapsed + started.elapsed();
-                    let commits_after = guard.commits + 1;
-                    let tear = crash.is_some_and(|(after, torn)| commits_after == after && torn);
-                    let die = crash.is_some_and(|(after, _)| commits_after >= after);
-                    enum CommitOutcome {
-                        /// No store: the run is already degraded to
-                        /// un-checkpointed, so there is nothing to commit.
-                        Skipped,
-                        Committed,
-                        /// The simulated power cut fired mid-commit: the
-                        /// process is dead, exactly like a crash-plan kill.
-                        PowerCut,
-                        TornFailed(SsnError),
-                        /// Persistent storage failure (ENOSPC, exhausted
-                        /// retries): worth degrading over, not dying over.
-                        Persistent(std::io::Error),
-                    }
-                    let outcome = match guard.store.as_mut() {
-                        None => CommitOutcome::Skipped,
-                        Some(st) => {
-                            st.record(c, payload);
-                            if tear {
-                                match st.commit_torn(elapsed) {
-                                    Ok(()) => CommitOutcome::Committed,
-                                    Err(e) => CommitOutcome::TornFailed(e),
-                                }
-                            } else {
-                                match st.commit_io(elapsed) {
-                                    Ok(()) => CommitOutcome::Committed,
-                                    Err(e)
-                                        if storage::injected_fault(&e)
-                                            == Some(storage::InjectedFaultKind::Killed) =>
-                                    {
-                                        CommitOutcome::PowerCut
-                                    }
-                                    Err(e) => CommitOutcome::Persistent(e),
-                                }
-                            }
-                        }
-                    };
-                    match outcome {
-                        CommitOutcome::Skipped => {}
-                        CommitOutcome::Committed => {
-                            guard.commits = commits_after;
-                            if ssn_telemetry::enabled() {
-                                ssn_telemetry::add(ssn_telemetry::names::DURABLE_COMMITS, 1);
-                            }
-                            if die {
-                                crashed.store(true, Ordering::SeqCst);
-                                opts.budget.cancel();
-                            }
-                        }
-                        CommitOutcome::PowerCut => {
-                            crashed.store(true, Ordering::SeqCst);
-                            opts.budget.cancel();
-                            return Ok(None);
-                        }
-                        CommitOutcome::TornFailed(e) => {
-                            if guard.commit_error.is_none() {
-                                guard.commit_error = Some(e);
-                            }
-                            crashed.store(true, Ordering::SeqCst);
-                            opts.budget.cancel();
-                            return Ok(None);
-                        }
-                        CommitOutcome::Persistent(e) => {
-                            // Declare the degradation, stop journaling, and
-                            // let the computation finish: a lost checkpoint
-                            // must never cost the run its result.
-                            let path = opts
-                                .checkpoint
-                                .as_deref()
-                                .map_or_else(String::new, |p| p.display().to_string());
-                            guard.degraded = Some(CheckpointDegraded {
-                                committed_chunks: guard.commits,
-                                total_chunks: n_chunks,
-                                detail: format!("{path}: {e}"),
-                            });
-                            guard.store = None;
-                            if ssn_telemetry::enabled() {
-                                ssn_telemetry::add(ssn_telemetry::names::STORAGE_DEGRADED, 1);
-                            }
-                        }
-                    }
+    let (results, engine_stats) =
+        try_run_chunked(n_chunks, 1, policy, |c, _| -> Result<Option<T>, SsnError> {
+            if resumed_count > 0 {
+                let restored = resumed.lock().unwrap_or_else(|e| e.into_inner()).remove(&c);
+                if restored.is_some() {
+                    return Ok(restored);
                 }
-                Ok(Some(value))
             }
-        }
-    });
+            if crashed.load(Ordering::SeqCst) {
+                // The simulated kill already fired: the process is "dead", no
+                // further chunks run.
+                return Ok(None);
+            }
+            if opts.budget.expired() {
+                deadline_hit.store(true, Ordering::SeqCst);
+                return Ok(None);
+            }
+            let value = match eval(c, spec.range(c)) {
+                Err(e) if e.is_cancelled() => {
+                    deadline_hit.store(true, Ordering::SeqCst);
+                    return Ok(None);
+                }
+                other => other?,
+            };
+            if !journaling.load(Ordering::SeqCst) {
+                return Ok(Some(value));
+            }
+            let payload = encode(c, &value);
+            let mut guard = cell.lock().unwrap_or_else(|e| e.into_inner());
+            if crashed.load(Ordering::SeqCst) {
+                return Ok(Some(value));
+            }
+            let elapsed = prior_elapsed + started.elapsed();
+            let commits_after = guard.commits + 1;
+            let tear = crash.is_some_and(|(after, torn)| commits_after == after && torn);
+            let die = crash.is_some_and(|(after, _)| commits_after >= after);
+            let Some(st) = guard.store.as_mut() else {
+                // Another worker's commit just shed the journal.
+                return Ok(Some(value));
+            };
+            st.record(c, payload);
+            enum CommitFailure {
+                Torn(SsnError),
+                Io(std::io::Error),
+            }
+            let committed = if tear {
+                st.commit_torn(elapsed).map_err(CommitFailure::Torn)
+            } else {
+                st.commit_io(elapsed).map_err(CommitFailure::Io)
+            };
+            match committed {
+                Ok(()) => {
+                    guard.commits = commits_after;
+                    if ssn_telemetry::enabled() {
+                        ssn_telemetry::add(ssn_telemetry::names::DURABLE_COMMITS, 1);
+                    }
+                    if die {
+                        crashed.store(true, Ordering::SeqCst);
+                        opts.budget.cancel();
+                    }
+                    Ok(Some(value))
+                }
+                // The simulated power cut fired mid-commit: the process is
+                // dead, exactly like a crash-plan kill.
+                Err(CommitFailure::Io(e))
+                    if storage::injected_fault(&e) == Some(storage::InjectedFaultKind::Killed) =>
+                {
+                    crashed.store(true, Ordering::SeqCst);
+                    opts.budget.cancel();
+                    Ok(None)
+                }
+                Err(CommitFailure::Torn(e)) => {
+                    guard.commit_error.get_or_insert(e);
+                    crashed.store(true, Ordering::SeqCst);
+                    opts.budget.cancel();
+                    Ok(None)
+                }
+                // Persistent storage failure (ENOSPC, exhausted retries):
+                // declare the degradation, stop journaling, and let the
+                // computation finish — a lost checkpoint must never cost the
+                // run its result.
+                Err(CommitFailure::Io(_)) => {
+                    guard.degraded_after = Some(guard.commits);
+                    guard.store = None;
+                    journaling.store(false, Ordering::SeqCst);
+                    if ssn_telemetry::enabled() {
+                        ssn_telemetry::add(ssn_telemetry::names::STORAGE_DEGRADED, 1);
+                    }
+                    Ok(Some(value))
+                }
+            }
+        });
 
     let cell = cell.into_inner().unwrap_or_else(|e| e.into_inner());
     if let Some(e) = cell.commit_error {
@@ -1210,28 +1219,32 @@ where
         });
     }
 
-    // Merge restored and freshly evaluated chunks, in chunk order.
-    let mut outcomes: Vec<ChunkOutcome<T>> = Vec::with_capacity(n_chunks);
-    let mut fresh = results.into_iter();
-    for c in 0..n_chunks {
-        if let Some(v) = resumed.remove(&c) {
-            outcomes.push(ChunkOutcome::Done(v));
-            continue;
-        }
-        let outcome = match fresh.next() {
-            Some(Ok(Ok(Some(v)))) => ChunkOutcome::Done(v),
-            Some(Ok(Ok(None))) => ChunkOutcome::DeadlineSkipped,
-            Some(Ok(Err(e))) => ChunkOutcome::Failed(e.to_string()),
-            Some(Err(chunk_err)) => ChunkOutcome::Failed(chunk_err.to_string()),
-            None => ChunkOutcome::Failed(format!("chunk {c} was never scheduled")),
-        };
-        outcomes.push(outcome);
-    }
+    let chunks: Vec<ChunkOutcome<T>> = results
+        .into_iter()
+        .enumerate()
+        .map(|(c, result)| match result {
+            Ok(Ok(Some(v))) => ChunkOutcome::Done(v),
+            Ok(Ok(None)) => ChunkOutcome::DeadlineSkipped,
+            Ok(Err(e)) => ChunkOutcome::Failed(e.to_string()),
+            // Name the chunk's items, not its one-item slot in the engine.
+            Err(panicked) => ChunkOutcome::Failed(
+                ChunkError {
+                    range: spec.range(c),
+                    ..panicked
+                }
+                .to_string(),
+            ),
+        })
+        .collect();
 
+    let skipped = chunks
+        .iter()
+        .filter(|o| matches!(o, ChunkOutcome::DeadlineSkipped))
+        .count();
     let mut stats = engine_stats;
     // Deadline-skipped chunks were never evaluated; counting them as items
     // would overstate the throughput line on a partial run.
-    stats.items = outcomes
+    stats.items = chunks
         .iter()
         .enumerate()
         .filter(|(_, o)| !matches!(o, ChunkOutcome::DeadlineSkipped))
@@ -1239,22 +1252,25 @@ where
         .sum();
     stats.chunks = n_chunks;
     stats.checkpointed_chunks = resumed_count;
-    stats.elapsed_wall = prior_elapsed + started.elapsed();
-    stats.failed_chunks = outcomes
+    stats.elapsed_wall = prior_elapsed + stats.wall;
+    stats.failed_chunks = chunks
         .iter()
         .filter(|o| matches!(o, ChunkOutcome::Failed(_)))
         .count();
 
-    let hit = deadline_hit.load(Ordering::SeqCst);
+    let mut durability = Durability {
+        resumed_chunks: resumed_count,
+        deadline_hit: deadline_hit.load(Ordering::SeqCst),
+        degradation: Vec::new(),
+    };
+    if let Some(committed) = cell.degraded_after {
+        durability.note_degrade(DegradeStep::Uncheckpointed, n_chunks, committed);
+    }
     if ssn_telemetry::enabled() {
         ssn_telemetry::add(
             ssn_telemetry::names::DURABLE_RESUMED_CHUNKS,
             resumed_count as u64,
         );
-        let skipped = outcomes
-            .iter()
-            .filter(|o| matches!(o, ChunkOutcome::DeadlineSkipped))
-            .count();
         ssn_telemetry::add(
             ssn_telemetry::names::DURABLE_DEADLINE_SKIPPED,
             skipped as u64,
@@ -1262,11 +1278,9 @@ where
     }
 
     Ok(DurableRun {
-        chunks: outcomes,
+        chunks,
         stats,
-        resumed_chunks: resumed_count,
-        deadline_hit: hit,
-        checkpoint_degraded: cell.degraded,
+        durability,
     })
 }
 
@@ -1318,7 +1332,7 @@ mod tests {
         }
     }
 
-    fn encode_chunk(v: &Vec<f64>) -> Vec<u8> {
+    fn encode_chunk(_: usize, v: &Vec<f64>) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_usize(v.len());
         for &x in v {
@@ -1327,7 +1341,7 @@ mod tests {
         w.into_vec()
     }
 
-    fn decode_chunk(r: &mut ByteReader<'_>) -> Result<Vec<f64>, SsnError> {
+    fn decode_chunk(_: usize, r: &mut ByteReader<'_>) -> Result<Vec<f64>, SsnError> {
         let n = r.take_usize()?;
         (0..n).map(|_| r.take_f64()).collect()
     }
@@ -1461,12 +1475,46 @@ mod tests {
             toy_eval(&spec),
         )
         .unwrap();
-        assert_eq!(run.resumed_chunks, 0);
-        assert!(!run.deadline_hit);
+        assert_eq!(run.durability.resumed_chunks, 0);
+        assert!(!run.durability.deadline_hit);
         assert_eq!(run.stats.checkpointed_chunks, 0);
         assert_eq!(run.stats.items, 100);
+        assert_eq!(run.stats.elapsed_wall, run.stats.wall, "one session");
         let all = collect(run);
         assert_eq!(all.len(), 100);
+    }
+
+    #[test]
+    fn payloads_are_encoded_only_for_a_journal() {
+        let spec = toy_spec(9);
+        let path = temp_path("encode-count");
+        for (opts, want) in [
+            (DurableOptions::none(), 0),
+            (
+                DurableOptions {
+                    checkpoint: Some(path.clone()),
+                    ..DurableOptions::none()
+                },
+                spec.n_chunks(),
+            ),
+        ] {
+            let encodes = AtomicUsize::new(0);
+            let run = run_chunked_durable(
+                &spec,
+                &ExecPolicy::with_threads(2),
+                &opts,
+                |c, v| {
+                    encodes.fetch_add(1, Ordering::Relaxed);
+                    encode_chunk(c, v)
+                },
+                decode_chunk,
+                toy_eval(&spec),
+            )
+            .unwrap();
+            assert_eq!(collect(run).len(), 100);
+            assert_eq!(encodes.into_inner(), want, "{:?}", opts.checkpoint);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1492,7 +1540,7 @@ mod tests {
         let mut store = CheckpointStore::create(path.clone(), &spec);
         for c in 0..3 {
             let v = toy_eval(&spec)(c, spec.range(c)).unwrap();
-            store.record(c, encode_chunk(&v));
+            store.record(c, encode_chunk(c, &v));
         }
         store.commit(Duration::from_millis(10)).unwrap();
 
@@ -1517,7 +1565,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(run.resumed_chunks, 3);
+        assert_eq!(run.durability.resumed_chunks, 3);
         assert_eq!(run.stats.checkpointed_chunks, 3);
         assert_eq!(evals.load(Ordering::Relaxed), spec.n_chunks() - 3);
         assert!(run.stats.elapsed_wall >= Duration::from_millis(10));
@@ -1547,7 +1595,7 @@ mod tests {
             |_, range| Ok(range.map(|i| i as f64).collect()),
         )
         .unwrap();
-        assert!(run.deadline_hit);
+        assert!(run.durability.deadline_hit);
         assert!(run
             .chunks
             .iter()
@@ -1571,7 +1619,7 @@ mod tests {
             toy_eval(&spec),
         )
         .unwrap();
-        assert!(run.deadline_hit);
+        assert!(run.durability.deadline_hit);
         let done = run
             .chunks
             .iter()

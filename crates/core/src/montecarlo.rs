@@ -40,14 +40,13 @@
 //! instead of resuming into a result that mixes two streams.
 
 use crate::durable::{
-    run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    run_chunked_durable, ByteWriter, DegradeStep, Durability, DurableOptions, ParamDigest, RunSpec,
 };
-use crate::error::SsnError;
+use crate::error::{CheckpointErrorKind, SsnError};
 use crate::faults;
 use crate::lcmodel;
 use crate::lmodel;
-use crate::parallel::{try_run_chunked, ExecPolicy, ExecStats};
+use crate::parallel::{ExecPolicy, ExecStats};
 use crate::scenario::{Rail, SsnScenario};
 use ssn_numeric::rng::Rng;
 use ssn_numeric::stats;
@@ -462,8 +461,8 @@ pub fn run_monte_carlo(
 /// RNG stream `(seed, c)`; the result is bit-identical for every
 /// `policy.threads()`.
 ///
-/// **Degradation contract:** each chunk is panic-isolated
-/// ([`crate::parallel::try_run_chunked`]). A chunk that panics or produces
+/// **Degradation contract:** each chunk is panic-isolated (the durable
+/// runner, here with no journal and no budget). A chunk that panics or produces
 /// a non-finite sample is dropped and counted in
 /// [`ExecStats::failed_chunks`]; the surviving samples are returned as a
 /// *partial* [`McResult`] (`len() < n_samples`). Callers that cannot accept
@@ -501,64 +500,16 @@ pub fn run_monte_carlo_with_path(
     policy: &ExecPolicy,
     path: McPath,
 ) -> Result<(McResult, ExecStats), SsnError> {
-    if n_samples == 0 {
-        return Err(SsnError::invalid(
-            "samples",
-            0.0,
-            "need at least one Monte Carlo sample",
-        ));
-    }
-    spec.validate()?;
-    let _run_span = ssn_telemetry::span("mc.run");
-    // Each chunk writes its samples straight into its slice of the result,
-    // so no per-chunk buffer outlives the chunk.
-    let mut samples = vec![0.0; n_samples];
-    let (chunks, mut stats) = {
-        let slices: Vec<Mutex<&mut [f64]>> = samples.chunks_mut(MC_CHUNK).map(Mutex::new).collect();
-        try_run_chunked(n_samples, MC_CHUNK, policy, |c, range| {
-            // A chunk that panicked leaves its slice half written and the
-            // lock poisoned; a retry rewrites the whole slice, and a failed
-            // chunk's slice is dropped below, so the guard is still good.
-            let mut out = slices[c].lock().unwrap_or_else(PoisonError::into_inner);
-            mc_chunk(nominal, spec, seed, c, range, path, &mut out)
-        })
-    };
-    let _collect_span = ssn_telemetry::span("mc.collect");
-    let total = stats.chunks;
-    let mut kept = 0usize;
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for (c, chunk) in chunks.into_iter().enumerate() {
-        let range = c * MC_CHUNK..((c + 1) * MC_CHUNK).min(n_samples);
-        match chunk {
-            Ok(Ok(())) => {
-                // Close the gap a failed chunk left.
-                if kept != range.start {
-                    samples.copy_within(range.clone(), kept);
-                }
-                kept += range.len();
-            }
-            Ok(Err(e)) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-            Err(e) => {
-                failed += 1;
-                first_cause.get_or_insert_with(|| e.to_string());
-            }
-        }
-    }
-    samples.truncate(kept);
-    stats.failed_chunks = failed;
-    if samples.is_empty() {
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
-    sort_samples(&mut samples);
-    Ok((McResult { samples }, stats))
+    run_monte_carlo_durable_with_path(
+        nominal,
+        spec,
+        n_samples,
+        seed,
+        policy,
+        &DurableOptions::none(),
+        path,
+    )
+    .map(|(result, stats, _)| (result, stats))
 }
 
 /// Sorts the samples in place. `total_cmp` calls two values equal only
@@ -570,9 +521,9 @@ fn sort_samples(samples: &mut [f64]) {
 }
 
 /// Evaluates one Monte Carlo chunk into `out`: samples `range` from RNG
-/// stream `(seed, c)` on the selected path. The shared body of the plain
-/// and durable runners — all paths must produce identical chunk results
-/// for the determinism and resume invariants to hold.
+/// stream `(seed, c)` on the selected path. Both paths must produce
+/// identical chunk results for the determinism and resume invariants to
+/// hold.
 fn mc_chunk(
     nominal: &SsnScenario,
     spec: &VariationSpec,
@@ -794,69 +745,63 @@ pub fn run_monte_carlo_durable_with_path(
     spec.validate()?;
     let _run_span = ssn_telemetry::span("mc.run");
     let run_spec = mc_run_spec(nominal, spec, n_samples, seed);
-    let run = run_chunked_durable(
-        &run_spec,
-        policy,
-        durable,
-        |samples: &Vec<f64>| {
-            let mut w = ByteWriter::new();
-            w.put_usize(samples.len());
-            for &v in samples {
-                w.put_f64(v);
-            }
-            w.into_vec()
-        },
-        |r: &mut ByteReader<'_>| {
-            let n = r.take_usize()?;
-            (0..n).map(|_| r.take_f64()).collect()
-        },
-        |c, range| {
-            let mut out = vec![0.0; range.len()];
-            mc_chunk(nominal, spec, seed, c, range, path, &mut out).map(|()| out)
-        },
-    )?;
-
-    let mut durability = Durability {
-        resumed_chunks: run.resumed_chunks,
-        deadline_hit: run.deadline_hit,
-        degradation: Vec::new(),
+    // Each chunk writes its samples straight into its slice of the result,
+    // and a restored chunk is decoded into it, so no per-chunk buffer
+    // outlives the chunk. A payload is the sample count, then the samples.
+    let mut samples = vec![0.0; n_samples];
+    let run = {
+        let slices: Vec<Mutex<&mut [f64]>> = samples.chunks_mut(MC_CHUNK).map(Mutex::new).collect();
+        // A chunk that panicked leaves its slice half written and the lock
+        // poisoned; a retry rewrites the whole slice, and a failed chunk's
+        // slice is dropped below, so the guard is still good.
+        let slice = |c: usize| slices[c].lock().unwrap_or_else(PoisonError::into_inner);
+        run_chunked_durable(
+            &run_spec,
+            policy,
+            durable,
+            |c, ()| {
+                let out = slice(c);
+                let mut w = ByteWriter::new();
+                w.put_usize(out.len());
+                for &v in out.iter() {
+                    w.put_f64(v);
+                }
+                w.into_vec()
+            },
+            |c, r| {
+                let mut out = slice(c);
+                let n = r.take_usize()?;
+                if n != out.len() {
+                    return Err(SsnError::checkpoint(
+                        "",
+                        CheckpointErrorKind::Corrupt,
+                        format!("{n} sample(s) recorded for a {}-sample chunk", out.len()),
+                    ));
+                }
+                for v in out.iter_mut() {
+                    *v = r.take_f64()?;
+                }
+                Ok(())
+            },
+            |c, range| mc_chunk(nominal, spec, seed, c, range, path, &mut slice(c)),
+        )?
+        .delivered(n_samples)?
     };
-    if let Some(d) = &run.checkpoint_degraded {
-        durability.note_degrade(
-            DegradeStep::Uncheckpointed,
-            d.total_chunks,
-            d.committed_chunks,
-        );
-    }
-    let total = run.stats.chunks;
-    let mut samples = Vec::with_capacity(n_samples);
-    let mut failed = 0usize;
-    let mut first_cause: Option<String> = None;
-    for outcome in run.chunks {
-        match outcome {
-            ChunkOutcome::Done(vs) => samples.extend(vs),
-            ChunkOutcome::Failed(cause) => {
-                failed += 1;
-                first_cause.get_or_insert(cause);
-            }
-            ChunkOutcome::DeadlineSkipped => {}
+
+    let _collect_span = ssn_telemetry::span("mc.collect");
+    // Close the gaps failed and skipped chunks left.
+    let mut kept = 0usize;
+    for (c, ()) in run.done() {
+        let range = run_spec.range(c);
+        if kept != range.start {
+            samples.copy_within(range.clone(), kept);
         }
+        kept += range.len();
     }
-    if samples.is_empty() {
-        if run.deadline_hit && failed == 0 {
-            return Err(SsnError::DeadlineExhausted {
-                completed_items: 0,
-                planned_items: n_samples,
-            });
-        }
-        return Err(SsnError::AllChunksFailed {
-            failed,
-            total,
-            first_cause: first_cause.unwrap_or_default(),
-        });
-    }
-    if run.deadline_hit && samples.len() < n_samples {
-        durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, samples.len());
+    samples.truncate(kept);
+    let mut durability = run.durability;
+    if durability.deadline_hit && kept < n_samples {
+        durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, kept);
     }
     sort_samples(&mut samples);
     Ok((McResult { samples }, run.stats, durability))
@@ -993,6 +938,43 @@ mod tests {
             ..VariationSpec::typical()
         };
         assert!(run_monte_carlo(&nominal(), &neg, 10, 1).is_err());
+    }
+
+    #[test]
+    fn a_restored_chunk_count_must_match_its_slice() {
+        let s = nominal();
+        let spec = VariationSpec::typical();
+        let n = 2 * MC_CHUNK;
+        let path = std::env::temp_dir().join(format!("ssn-mc-short-{}.ckpt", std::process::id()));
+        let mut store =
+            crate::durable::CheckpointStore::create(path.clone(), &mc_run_spec(&s, &spec, n, 1));
+        // A full chunk of values under a count that disagrees with it.
+        let mut w = ByteWriter::new();
+        w.put_usize(MC_CHUNK - 1);
+        for _ in 0..MC_CHUNK {
+            w.put_f64(0.5);
+        }
+        store.record(1, w.into_vec());
+        store.commit(std::time::Duration::ZERO).unwrap();
+        let resume = DurableOptions {
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..DurableOptions::none()
+        };
+        let err = run_monte_carlo_durable(&s, &spec, n, 1, &ExecPolicy::serial(), &resume)
+            .expect_err("a short chunk must not resume");
+        assert!(
+            matches!(
+                &err,
+                SsnError::Checkpoint {
+                    kind: CheckpointErrorKind::Corrupt,
+                    detail,
+                    ..
+                } if detail.contains("255 sample(s) recorded for a 256-sample chunk")
+            ),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

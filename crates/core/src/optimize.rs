@@ -36,8 +36,8 @@
 //! (`<path>.lv0`, `<path>.lv1`, …).
 
 use crate::durable::{
-    fnv1a64, run_chunked_durable, ByteReader, ByteWriter, ChunkOutcome, DegradeStep, Durability,
-    DurableOptions, ParamDigest, RunSpec,
+    fnv1a64, run_chunked_durable, ByteReader, ByteWriter, DegradeStep, Durability, DurableOptions,
+    ParamDigest, RunSpec,
 };
 use crate::error::SsnError;
 use crate::lcmodel::{self, MaxSsnCase};
@@ -616,8 +616,8 @@ struct EvalOut {
 }
 
 /// Evaluates the survivors slice `range` of one chunk. Shared by the
-/// plain, durable, and enumeration paths — all three must produce
-/// identical results for the resume and exactness invariants to hold.
+/// search and the enumeration reference — both must produce identical
+/// results for the resume and exactness invariants to hold.
 fn eval_chunk(
     template: &SsnScenario,
     space: &DesignSpace,
@@ -655,7 +655,7 @@ fn eval_chunk(
     Ok(out)
 }
 
-fn encode_chunk(points: &Vec<EvalOut>) -> Vec<u8> {
+fn encode_chunk(_: usize, points: &Vec<EvalOut>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_usize(points.len());
     for p in points {
@@ -667,7 +667,7 @@ fn encode_chunk(points: &Vec<EvalOut>) -> Vec<u8> {
     w.into_vec()
 }
 
-fn decode_chunk(r: &mut ByteReader<'_>) -> Result<Vec<EvalOut>, SsnError> {
+fn decode_chunk(_: usize, r: &mut ByteReader<'_>) -> Result<Vec<EvalOut>, SsnError> {
     let n = r.take_usize()?;
     (0..n)
         .map(|_| {
@@ -907,61 +907,41 @@ pub fn search_durable(
             decode_chunk,
             |c, range| eval_chunk(template, space, &survivors, c, range),
         )?;
+        // A level fails only when it evaluated nothing and some chunk
+        // failed; a level the budget skipped whole ends the search below.
+        let run = if run.stats.failed_chunks > 0 {
+            run.delivered(spec.n_items)?
+        } else {
+            run
+        };
         levels_run = level + 1;
         merge_stats(&mut stats, &run.stats);
-        durability.resumed_chunks += run.resumed_chunks;
-        durability.deadline_hit |= run.deadline_hit;
-        if let Some(d) = &run.checkpoint_degraded {
-            durability.note_degrade(
-                DegradeStep::Uncheckpointed,
-                d.total_chunks,
-                d.committed_chunks,
-            );
-        }
+        durability.resumed_chunks += run.durability.resumed_chunks;
+        durability.deadline_hit |= run.durability.deadline_hit;
+        durability
+            .degradation
+            .extend_from_slice(&run.durability.degradation);
 
-        let mut failed = 0usize;
-        let mut first_cause: Option<String> = None;
         let mut level_evaluated = 0usize;
         let feasible = |e: &&EvalOut| !cap.is_some_and(|cap| e.vn_lc > cap);
-        for outcome in &run.chunks {
-            match outcome {
-                ChunkOutcome::Done(points) => {
-                    for e in points {
-                        bounds[e.flat] = e.vn_lc;
-                        level_evaluated += 1;
-                        if !feasible(&e) {
-                            over_cap += 1;
-                        }
-                    }
-                }
-                ChunkOutcome::Failed(cause) => {
-                    failed += 1;
-                    first_cause.get_or_insert_with(|| cause.clone());
-                }
-                ChunkOutcome::DeadlineSkipped => {}
+        for e in run.done().flat_map(|(_, points)| points) {
+            bounds[e.flat] = e.vn_lc;
+            level_evaluated += 1;
+            if !feasible(&e) {
+                over_cap += 1;
             }
         }
-        let done = run.chunks.iter().flat_map(|outcome| match outcome {
-            ChunkOutcome::Done(points) => points.as_slice(),
-            _ => &[],
-        });
+        let done = run.done().flat_map(|(_, points)| points);
         table.merge(&mut front, space, level, done.filter(feasible));
         evaluated += level_evaluated;
         ssn_telemetry::add("opt.evaluated", level_evaluated as u64);
-        if level_evaluated == 0 && failed > 0 {
-            return Err(SsnError::AllChunksFailed {
-                failed,
-                total: spec.n_chunks(),
-                first_cause: first_cause.unwrap_or_else(|| "unknown".into()),
-            });
-        }
         // A failed chunk leaves its corner bounds unvisited; descendants
         // of those corners simply evaluate unconditionally (NaN bounds are
         // never produced for pruning because a pruned point inherits a
         // numeric bound and an evaluated one stores its noise). To keep
         // the invariant "every stride-2s corner is visited", backfill a
         // conservative zero bound for the lost points.
-        if failed > 0 {
+        if run.stats.failed_chunks > 0 {
             for i in bounds.iter_mut() {
                 // Only the lost points of *this* level are NaN among the
                 // lattice; zero is a sound (vacuous) lower bound.
@@ -970,7 +950,7 @@ pub fn search_durable(
                 }
             }
         }
-        if run.deadline_hit {
+        if run.durability.deadline_hit {
             deadline_stop = true;
             break;
         }

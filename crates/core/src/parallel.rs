@@ -23,17 +23,21 @@
 //! # Examples
 //!
 //! ```
-//! use ssn_core::parallel::{run_chunked, ExecPolicy};
+//! use ssn_core::parallel::{try_run_chunked, ExecPolicy};
 //!
 //! // Square 1000 numbers in chunks of 128 on all available cores.
-//! let (chunks, stats) = run_chunked(1000, 128, &ExecPolicy::auto(), |_, range| {
+//! let (chunks, stats) = try_run_chunked(1000, 128, &ExecPolicy::auto(), |_, range| {
 //!     range.map(|i| i * i).collect::<Vec<_>>()
 //! });
-//! let squares: Vec<usize> = chunks.into_iter().flatten().collect();
+//! let squares: Vec<usize> = chunks.into_iter().flat_map(Result::unwrap).collect();
 //! assert_eq!(squares.len(), 1000);
 //! assert_eq!(squares[999], 999 * 999);
 //! assert_eq!(stats.items, 1000);
 //! ```
+//!
+//! Workloads do not call the engine directly: they run on
+//! [`crate::durable::run_chunked_durable`], which adds checkpoints, a
+//! budget and the shared collect step on top of it.
 
 use crate::faults::RunScope;
 use std::ops::Range;
@@ -112,8 +116,8 @@ pub struct ExecStats {
     pub items: usize,
     /// Work-queue chunks the items were split into.
     pub chunks: usize,
-    /// Chunks that panicked past their retry budget and were recorded as
-    /// [`ChunkError`]s (always 0 for the panicking [`run_chunked`] path).
+    /// Chunks that failed: panicked past their retry budget, or (on the
+    /// durable runner) returned an error.
     pub failed_chunks: usize,
     /// Chunks that panicked at least once but were re-attempted under
     /// [`ExecPolicy::with_chunk_retries`] (whether or not they eventually
@@ -125,11 +129,11 @@ pub struct ExecStats {
     /// large `sched_wait` means the chunks are too fine for the queue.
     pub sched_wait: Duration,
     /// Chunks restored from a checkpoint journal instead of being
-    /// evaluated (always 0 outside the durable path).
+    /// evaluated (0 for a run without a journal).
     pub checkpointed_chunks: usize,
     /// Wall time accumulated across *all* sessions of the run: prior
     /// (checkpointed) sessions' wall plus this session's `wall`. Equal to
-    /// `wall` for a run that never resumed.
+    /// `wall` unless the run resumed a journal that a prior session wrote.
     pub elapsed_wall: Duration,
 }
 
@@ -184,8 +188,8 @@ impl std::fmt::Display for ExecStats {
         if self.retried_chunks > 0 {
             write!(f, ", {} retried chunk(s)", self.retried_chunks)?;
         }
-        // Durable-run fields render only when a resume actually happened,
-        // so the line is unchanged for every pre-existing caller.
+        // Durable-run fields render only when the run resumed a journal,
+        // so a fresh run's line describes just its own session.
         if self.checkpointed_chunks > 0 {
             write!(f, ", {} checkpointed chunk(s)", self.checkpointed_chunks)?;
         }
@@ -255,40 +259,11 @@ fn chunk_ranges(n_items: usize, chunk_size: usize) -> Vec<Range<usize>> {
 /// With one thread (or one chunk) everything runs inline on the calling
 /// thread — the exact serial path, no spawns.
 ///
-/// A panic inside `eval` propagates to the caller (after the other chunks
-/// finish); use [`try_run_chunked`] to turn per-chunk panics into
-/// [`ChunkError`]s instead.
-pub fn run_chunked<T, F>(
-    n_items: usize,
-    chunk_size: usize,
-    policy: &ExecPolicy,
-    eval: F,
-) -> (Vec<T>, ExecStats)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    let (results, stats) = try_run_chunked(n_items, chunk_size, policy, eval);
-    let results = results
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        })
-        .collect();
-    (results, stats)
-}
-
-/// [`run_chunked`] with per-chunk panic isolation.
-///
 /// Each chunk evaluation runs under [`std::panic::catch_unwind`]: a chunk
 /// that panics yields `Err(`[`ChunkError`]`)` in its slot while every other
 /// chunk completes normally. [`ExecStats::failed_chunks`] counts the
 /// failures and [`ExecStats::retried_chunks`] the chunks that consumed
 /// retry budget ([`ExecPolicy::with_chunk_retries`]).
-///
-/// When nothing panics, the results — and the evaluation order — are
-/// identical to [`run_chunked`], bit for bit.
 pub fn try_run_chunked<T, F>(
     n_items: usize,
     chunk_size: usize,
@@ -423,36 +398,6 @@ where
     (results, stats)
 }
 
-/// Maps `f` over `items` in parallel, returning outputs in input order.
-///
-/// A convenience wrapper over [`run_chunked`] with one item per chunk —
-/// right for coarse work (a transient simulation per item), wasteful for
-/// sub-microsecond closures (batch those through [`run_chunked`] yourself).
-pub fn par_map<I, O, F>(items: &[I], policy: &ExecPolicy, f: F) -> (Vec<O>, ExecStats)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let (results, stats) = run_chunked(items.len(), 1, policy, |_, range| f(&items[range.start]));
-    (results, stats)
-}
-
-/// [`par_map`] with per-chunk panic isolation: an item whose evaluation
-/// panics yields `Err(`[`ChunkError`]`)` in its slot; the others complete.
-pub fn try_par_map<I, O, F>(
-    items: &[I],
-    policy: &ExecPolicy,
-    f: F,
-) -> (Vec<Result<O, ChunkError>>, ExecStats)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    try_run_chunked(items.len(), 1, policy, |_, range| f(&items[range.start]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,9 +428,10 @@ mod tests {
             let mut rng = ssn_numeric::rng::Rng::from_seed_and_stream(99, c as u64);
             range.map(|i| rng.next_u64() ^ i as u64).collect()
         };
-        let (serial, s_stats) = run_chunked(1000, 64, &ExecPolicy::serial(), eval);
+        let (serial, s_stats) = try_run_chunked(1000, 64, &ExecPolicy::serial(), eval);
         for threads in [2, 4, 8] {
-            let (par, p_stats) = run_chunked(1000, 64, &ExecPolicy::with_threads(threads), eval);
+            let (par, p_stats) =
+                try_run_chunked(1000, 64, &ExecPolicy::with_threads(threads), eval);
             assert_eq!(serial, par, "thread count {threads} changed results");
             assert_eq!(p_stats.items, s_stats.items);
             assert_eq!(p_stats.chunks, s_stats.chunks);
@@ -495,24 +441,15 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         let (results, stats) =
-            run_chunked(0, 16, &ExecPolicy::auto(), |_, r| r.collect::<Vec<_>>());
+            try_run_chunked(0, 16, &ExecPolicy::auto(), |_, r| r.collect::<Vec<_>>());
         assert!(results.is_empty());
         assert_eq!(stats.items, 0);
         assert_eq!(stats.chunks, 0);
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<i64> = (0..500).collect();
-        let (out, stats) = par_map(&items, &ExecPolicy::with_threads(4), |&x| x * 3);
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        assert_eq!(stats.items, 500);
-        assert_eq!(stats.chunks, 500);
-    }
-
-    #[test]
     fn stats_report_sane_telemetry() {
-        let (_, stats) = run_chunked(256, 16, &ExecPolicy::with_threads(2), |_, range| {
+        let (_, stats) = try_run_chunked(256, 16, &ExecPolicy::with_threads(2), |_, range| {
             range.map(|i| (i as f64).sqrt()).sum::<f64>()
         });
         assert!(stats.items_per_sec() > 0.0);
@@ -521,7 +458,7 @@ mod tests {
         assert!(text.contains("256 evaluations"), "{text}");
         assert!(text.contains("eval/s"), "{text}");
         // Serial display uses the singular form.
-        let (_, serial) = run_chunked(4, 2, &ExecPolicy::serial(), |_, _| ());
+        let (_, serial) = try_run_chunked(4, 2, &ExecPolicy::serial(), |_, _| ());
         assert!(serial.to_string().contains("1 thread ("), "{serial}");
     }
 
@@ -584,7 +521,7 @@ mod tests {
     fn serial_run_reports_true_compute_fraction() {
         // Real run: ~2 ms of compute per chunk dominates the loop, so the
         // compute fraction is high but honest (never above budget).
-        let (_, stats) = run_chunked(4, 1, &ExecPolicy::serial(), |_, _| {
+        let (_, stats) = try_run_chunked(4, 1, &ExecPolicy::serial(), |_, _| {
             std::thread::sleep(Duration::from_millis(2))
         });
         let u = stats.utilization();
@@ -600,7 +537,7 @@ mod tests {
             let session = ssn_telemetry::Session::start();
             let (_, stats) = {
                 let _root = ssn_telemetry::span("test.run");
-                run_chunked(64, 4, &ExecPolicy::with_threads(threads), |_, range| {
+                try_run_chunked(64, 4, &ExecPolicy::with_threads(threads), |_, range| {
                     range.map(|i| (i as f64).sqrt()).sum::<f64>()
                 })
             };
@@ -624,7 +561,7 @@ mod tests {
 
     #[test]
     fn worker_count_never_exceeds_chunk_count() {
-        let (_, stats) = run_chunked(3, 1, &ExecPolicy::with_threads(16), |c, _| c);
+        let (_, stats) = try_run_chunked(3, 1, &ExecPolicy::with_threads(16), |c, _| c);
         assert_eq!(stats.threads, 3);
         assert_eq!(stats.chunks, 3);
     }
@@ -699,21 +636,6 @@ mod tests {
             assert_eq!(stats.failed_chunks, 1);
             assert_eq!(stats.retried_chunks, 1);
             assert!(results[1].is_err());
-        });
-    }
-
-    #[test]
-    fn run_chunked_still_propagates_panics() {
-        quiet_panics(|| {
-            let caught = std::panic::catch_unwind(|| {
-                run_chunked(10, 5, &ExecPolicy::serial(), |c, _| {
-                    if c == 1 {
-                        panic!("boom");
-                    }
-                    c
-                })
-            });
-            assert!(caught.is_err());
         });
     }
 

@@ -18,12 +18,10 @@
 use ssn_core::design;
 use ssn_core::durable::{Durability, DurableOptions, ParamDigest};
 use ssn_core::error::{CheckpointErrorKind, SsnError};
-use ssn_core::montecarlo::{
-    run_monte_carlo_durable, run_monte_carlo_with, VariationSpec, MC_STREAM_VERSION,
-};
+use ssn_core::montecarlo::{run_monte_carlo_durable, VariationSpec, MC_STREAM_VERSION};
 use ssn_core::optimize::{self, DesignSpace, ObjectiveSet, OptimizeOptions};
 use ssn_core::oracle::{self, run_differential_durable, OracleOptions};
-use ssn_core::parallel::ExecPolicy;
+use ssn_core::parallel::{ExecPolicy, ExecStats};
 use ssn_core::scenario::SsnScenario;
 use ssn_core::{lcmodel, lmodel};
 use ssn_devices::process::Process;
@@ -639,47 +637,20 @@ impl ApiRequest {
     }
 
     /// Runs the request to completion in the calling thread with no
-    /// checkpoint (the small-request path).
+    /// checkpoint and no budget (the small-request path): exactly
+    /// [`ApiRequest::run_durable`] with [`DurableOptions::none`].
     ///
     /// # Errors
     ///
     /// Typed [`ApiError`] for any model/domain failure.
     pub fn run_sync(&self) -> Result<Vec<u8>, ApiError> {
-        match self {
-            Self::Estimate { sc } => render_estimate(sc),
-            Self::Budget { sc, budget } => render_budget(sc, *budget),
-            Self::MonteCarlo {
-                sc,
-                samples,
-                seed,
-                var,
-                budget,
-            } => {
-                let scenario = sc.build()?;
-                let (result, stats) =
-                    run_monte_carlo_with(&scenario, var, *samples, *seed, &ExecPolicy::auto())?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
-                render_montecarlo(self, sc, &result, *budget)
-            }
-            Self::Sweep { .. } | Self::Validate { .. } | Self::Optimize { .. } => {
-                let durable = DurableOptions::none();
-                self.run_durable(&durable).map(|(bytes, _)| bytes)
-            }
-        }
+        self.run_durable(&DurableOptions::none())
+            .map(|(bytes, _)| bytes)
     }
 
     /// Runs the request under the durable engine: checkpoint journal,
-    /// resume, and a cancellable budget (the job path; also the sync path
-    /// for sweep/validate with [`DurableOptions::none`]).
+    /// resume, and a cancellable budget (the job path; with
+    /// [`DurableOptions::none`], the sync path).
     ///
     /// # Errors
     ///
@@ -687,10 +658,9 @@ impl ApiRequest {
     /// [`SsnError::Interrupted`] map to 5xx kinds the job ledger records.
     pub fn run_durable(&self, durable: &DurableOptions) -> Result<(Vec<u8>, Durability), ApiError> {
         match self {
-            Self::Estimate { .. } | Self::Budget { .. } => {
-                // Closed forms are instant; durability is meaningless.
-                Ok((self.run_sync()?, Durability::default()))
-            }
+            // Closed forms are instant; durability is meaningless.
+            Self::Estimate { sc } => Ok((render_estimate(sc)?, Durability::default())),
+            Self::Budget { sc, budget } => Ok((render_budget(sc, *budget)?, Durability::default())),
             Self::MonteCarlo {
                 sc,
                 samples,
@@ -707,16 +677,7 @@ impl ApiRequest {
                     &ExecPolicy::auto(),
                     durable,
                 )?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
+                refuse_partial(&stats)?;
                 Ok((render_montecarlo(self, sc, &result, *budget)?, durability))
             }
             Self::Sweep { sc, max_drivers } => {
@@ -730,16 +691,7 @@ impl ApiRequest {
                     &ExecPolicy::auto(),
                     durable,
                 )?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
+                refuse_partial(&stats)?;
                 Ok((render_sweep(sc, *max_drivers, &points)?, durability))
             }
             Self::Validate { corpus, seed } => {
@@ -761,20 +713,27 @@ impl ApiRequest {
                     &ExecPolicy::auto(),
                     durable,
                 )?;
-                if stats.failed_chunks > 0 {
-                    return Err(ApiError {
-                        status: 500,
-                        kind: "partial-result",
-                        detail: format!(
-                            "{} chunk(s) failed; refusing partial data",
-                            stats.failed_chunks
-                        ),
-                    });
-                }
+                refuse_partial(&stats)?;
                 Ok((render_optimize(self, &outcome)?, durability))
             }
         }
     }
+}
+
+/// Refuses a result some chunks are missing from: a response body must
+/// be the whole computation or an error.
+fn refuse_partial(stats: &ExecStats) -> Result<(), ApiError> {
+    if stats.failed_chunks == 0 {
+        return Ok(());
+    }
+    Err(ApiError {
+        status: 500,
+        kind: "partial-result",
+        detail: format!(
+            "{} chunk(s) failed; refusing partial data",
+            stats.failed_chunks
+        ),
+    })
 }
 
 fn check_finite_positive(field: &str, v: f64) -> Result<(), ApiError> {

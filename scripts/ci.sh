@@ -184,7 +184,14 @@ SSN_FAULTS="seed=7,net.torn=0.1,net.disconnect=0.1,net.panic=0.05" \
     || { echo "ci: serve_load smoke failed under faults" >&2; cat "$tmp_dir/load.out" >&2; exit 1; }
 grep -q "health: ok" "$tmp_dir/load.out" \
     || { echo "ci: server unhealthy after fault smoke" >&2; exit 1; }
-panics=$(curl -s -m 5 "http://127.0.0.1:$port/metrics" | grep -o '"panics_caught":[0-9]*' || true)
+# The fault plan decides per connection: read the counter on fresh
+# connections until one answers (10 tries, 200 ms apart).
+panics=""
+for _ in $(seq 10); do
+    panics=$(curl -s -m 5 "http://127.0.0.1:$port/metrics" | grep -o '"panics_caught":[0-9]*' || true)
+    [ -n "$panics" ] && break
+    sleep 0.2
+done
 { [ -n "$panics" ] && [ "$panics" != '"panics_caught":0' ]; } \
     || { echo "ci: fault plan injected no handler panics ($panics)" >&2; exit 1; }
 drain_server \

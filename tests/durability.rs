@@ -546,8 +546,8 @@ fn an_expired_deadline_on_one_thread_leaves_a_concurrent_run_alone() {
                 &hold,
                 &ExecPolicy::serial(),
                 &budget,
-                |_: &()| Vec::new(),
-                |_| Ok(()),
+                |_, _: &()| Vec::new(),
+                |_, _| Ok(()),
                 |_, _| {
                     started_tx.send(()).expect("the test thread listens");
                     while !b_done.load(Ordering::SeqCst) {

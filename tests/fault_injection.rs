@@ -55,8 +55,8 @@ fn mc(
     }
 }
 
-/// The same job on the durable runner, which gathers the surviving chunks
-/// its own way: a partial result must keep exactly the same samples.
+/// The same job through the durable entry point with no journal or
+/// budget: a partial result must keep exactly the same samples.
 fn assert_durable_agrees(plan: FaultPlan, policy: &ExecPolicy, plain: &McResult) {
     let s = scenario(8);
     let spec = VariationSpec::typical();
