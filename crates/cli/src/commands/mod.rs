@@ -28,9 +28,11 @@ pub(crate) const DURABLE_HELP: &str =
     --resume            restore committed chunks from the --checkpoint
                         journal instead of recomputing them; the final
                         result is bit-identical to an uninterrupted run
-    --deadline <t>      cooperative wall-clock budget (e.g. 30s, 500m);
-                        on overrun the run keeps the completed work and
-                        records every fidelity downgrade in the run footer";
+    --deadline <t>      cooperative wall-clock budget in seconds, with an
+                        optional SI prefix (e.g. 30s, 500ms; an hour is
+                        3600); on overrun the run keeps the completed work
+                        and records every fidelity downgrade in the run
+                        footer";
 
 /// Reads the three durable flags into the run's options:
 /// [`DurableOptions::none`] when none of them was given, so the run reads
@@ -180,11 +182,22 @@ mod tests {
             durable_options(&parse(&["--resume"])),
             Err(CliError::Usage { .. })
         ));
-        // Deadline parses as an SI-suffixed quantity of seconds.
-        for t in ["30s", "500m"] {
+        // Deadline parses as seconds with an SI prefix: `m` is milli, so
+        // `500m` is half a second like `500ms`, and `1h` is no unit.
+        let d = durable_options(&parse(&["--deadline", "30s"])).unwrap();
+        assert!(d.budget.remaining().is_some());
+        for t in ["500m", "500ms"] {
             let d = durable_options(&parse(&["--deadline", t])).unwrap();
-            assert!(d.budget.remaining().is_some(), "{t}");
+            let left = d.budget.remaining().unwrap();
+            assert!(
+                left <= std::time::Duration::from_millis(500),
+                "{t}: {left:?}"
+            );
         }
+        assert!(matches!(
+            durable_options(&parse(&["--deadline", "1h"])),
+            Err(CliError::Usage { .. })
+        ));
         assert!(durable_options(&parse(&["--deadline", "0"])).is_err());
         assert!(durable_options(&parse(&["--deadline", "-5s"])).is_err());
     }

@@ -512,12 +512,77 @@ pub fn run_monte_carlo_with_path(
     .map(|(result, stats, _)| (result, stats))
 }
 
-/// Sorts the samples in place. `total_cmp` calls two values equal only
-/// when their bits are, so every correct sort — the in-place unstable one
-/// included — yields the same bits; and with every sample checked finite,
-/// the total order is the numeric one.
-fn sort_samples(samples: &mut [f64]) {
-    samples.sort_unstable_by(f64::total_cmp);
+/// Runs shorter than this many chunks sort on one thread. Measured on a
+/// 2 vCPU Xeon (shuffled p018-like samples, ns per sample, median of 101
+/// interleaved repeats, the key sort on one thread against the split onto
+/// two): 13.0 against 14.8 at 16 chunks, 14.8 against 14.2 at 32, 14.8
+/// against 11.7 at 48, 15.9 against 12.7 at 64 and 18.2 against 15.2 at
+/// 256 (EXPERIMENTS.md MC3). An earlier run still lost at 32 chunks (15.7
+/// against 19.2); 64 keeps the thread spawn off runs where a busy host
+/// could make it cost more than it saves.
+const SORT_SPLIT_CHUNKS: usize = 64;
+
+/// The top (sign) bit of an `f64`.
+const SIGN_BIT: u64 = 1 << 63;
+
+/// Maps `f64` bits to an integer key whose unsigned order is
+/// [`f64::total_cmp`]'s order: a negative value's bits are inverted, so
+/// larger magnitudes come first, and a positive value's get the top bit,
+/// so they come after every negative. [`from_sort_key`] undoes it.
+fn to_sort_key(bits: u64) -> u64 {
+    if bits & SIGN_BIT != 0 {
+        !bits
+    } else {
+        bits | SIGN_BIT
+    }
+}
+
+/// The inverse of [`to_sort_key`].
+fn from_sort_key(key: u64) -> u64 {
+    if key & SIGN_BIT != 0 {
+        key & !SIGN_BIT
+    } else {
+        !key
+    }
+}
+
+/// Sorts the samples in place into [`f64::total_cmp`] order on up to
+/// `threads` threads, returning exactly the bits a serial
+/// `sort_unstable_by(f64::total_cmp)` returns.
+///
+/// `total_cmp` calls two values equal only when their bits are, so every
+/// correct sort yields the same bits. The samples are sorted as integer
+/// keys ([`to_sort_key`]), which compare faster than `total_cmp` and in
+/// its order. A run of at least [`SORT_SPLIT_CHUNKS`] chunks is split at
+/// the rank that gives each side its share of the threads (the median for
+/// two): after the selection every key left of the split is ≤ every key
+/// right of it, so sorting the two sides apart, one of them on a scoped
+/// thread, yields the same sequence.
+fn sort_samples(samples: &mut [f64], threads: usize) {
+    for v in samples.iter_mut() {
+        *v = f64::from_bits(to_sort_key(v.to_bits()));
+    }
+    sort_keys(samples, threads);
+}
+
+/// Sorts keys stored by [`sort_samples`] and maps them back to samples.
+fn sort_keys(keys: &mut [f64], threads: usize) {
+    let by_key = |a: &f64, b: &f64| a.to_bits().cmp(&b.to_bits());
+    if threads < 2 || keys.len() < SORT_SPLIT_CHUNKS * MC_CHUNK {
+        keys.sort_unstable_by(by_key);
+        for v in keys.iter_mut() {
+            *v = f64::from_bits(from_sort_key(v.to_bits()));
+        }
+        return;
+    }
+    let left_threads = threads / 2;
+    let mid = keys.len() * left_threads / threads;
+    keys.select_nth_unstable_by(mid, by_key);
+    let (left, right) = keys.split_at_mut(mid);
+    std::thread::scope(|scope| {
+        scope.spawn(|| sort_keys(left, left_threads));
+        sort_keys(right, threads - left_threads);
+    });
 }
 
 /// Evaluates one Monte Carlo chunk into `out`: samples `range` from RNG
@@ -803,7 +868,7 @@ pub fn run_monte_carlo_durable_with_path(
     if durability.deadline_hit && kept < n_samples {
         durability.note_degrade(DegradeStep::ShrinkSamples, n_samples, kept);
     }
-    sort_samples(&mut samples);
+    sort_samples(&mut samples, policy.threads());
     Ok((McResult { samples }, run.stats, durability))
 }
 
@@ -811,6 +876,7 @@ pub fn run_monte_carlo_durable_with_path(
 mod tests {
     use super::*;
     use ssn_devices::Asdm;
+    use ssn_numeric::check::{forall, Gen};
     use ssn_units::Seconds;
 
     fn nominal() -> SsnScenario {
@@ -989,5 +1055,84 @@ mod tests {
     fn histogram_rejects_zero_bins() {
         let r = run_monte_carlo(&nominal(), &VariationSpec::frozen(), 10, 1).unwrap();
         let _ = r.histogram(0);
+    }
+
+    /// A uniformly random 64-bit pattern.
+    fn any_bits(g: &mut Gen) -> u64 {
+        let mut word = || g.usize_in(0, u32::MAX as usize) as u64;
+        (word() << 32) | word()
+    }
+
+    /// One value from the patterns a sort is most likely to get wrong:
+    /// signed zeros, infinities, NaNs of both signs with assorted payloads,
+    /// subnormals, the ends of the finite range, any bits at all, and
+    /// values shaped like real samples.
+    fn adversarial_value(g: &mut Gen) -> f64 {
+        let sign = if g.usize_in(0, 1) == 1 { SIGN_BIT } else { 0 };
+        let mantissa = any_bits(g) & ((1 << 52) - 1);
+        let bits = match g.usize_in(0, 7) {
+            0 => sign,
+            1 => sign | f64::INFINITY.to_bits(),
+            2 => sign | f64::INFINITY.to_bits() | mantissa.max(1),
+            3 => sign | mantissa,
+            4 => sign | [f64::MAX, f64::MIN_POSITIVE, 1.0][g.usize_in(0, 2)].to_bits(),
+            5 => any_bits(g),
+            _ => g.f64_in(0.0, 0.4).to_bits(),
+        };
+        f64::from_bits(bits)
+    }
+
+    /// `n` adversarial values laid out in stretches: scattered values, runs
+    /// of one value, and stretches already sorted or reversed.
+    fn adversarial_slice(g: &mut Gen, n: usize) -> Vec<f64> {
+        let mut v = Vec::with_capacity(n);
+        while v.len() < n {
+            let len = g.usize_in(1, 1000).min(n - v.len());
+            let mut stretch: Vec<f64> = match g.usize_in(0, 3) {
+                0 => vec![adversarial_value(g); len],
+                _ => (0..len).map(|_| adversarial_value(g)).collect(),
+            };
+            match g.usize_in(0, 3) {
+                0 => stretch.sort_unstable_by(f64::total_cmp),
+                1 => stretch.sort_unstable_by(|a, b| b.total_cmp(a)),
+                _ => {}
+            }
+            v.extend(stretch);
+        }
+        v
+    }
+
+    #[test]
+    fn sort_samples_returns_the_bits_of_the_total_cmp_sort() {
+        let split = SORT_SPLIT_CHUNKS * MC_CHUNK;
+        let lengths = [
+            0,
+            1,
+            2,
+            split - 1,
+            split,
+            split + 1,
+            split + 333,
+            2 * split + 77,
+            4 * split + 1001,
+        ];
+        forall("sort_samples == sort_unstable_by(total_cmp)", 2, |g| {
+            for n in lengths {
+                for threads in 1..=8 {
+                    let mut got = adversarial_slice(g, n);
+                    let mut want = got.clone();
+                    want.sort_unstable_by(f64::total_cmp);
+                    sort_samples(&mut got, threads);
+                    if let Some(i) = (0..n).find(|&i| got[i].to_bits() != want[i].to_bits()) {
+                        return Err(format!(
+                            "n {n}, {threads} thread(s): index {i} holds {:#018x}, want {:#018x}",
+                            got[i].to_bits(),
+                            want[i].to_bits()
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 }

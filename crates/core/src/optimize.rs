@@ -824,6 +824,11 @@ pub fn search_durable(
     let mut over_cap = 0usize;
     let mut levels_run = 0u32;
     let mut deadline_stop = false;
+    // Chunks the finished levels' journals hold, and chunks they planned:
+    // an injected crash counts commits per level journal, so its error
+    // adds these to name the whole journal family.
+    let mut family_committed = 0usize;
+    let mut family_chunks = 0usize;
 
     for m in (0..=m_max).rev() {
         let level: u32 = m_max - m;
@@ -906,7 +911,19 @@ pub fn search_durable(
             encode_chunk,
             decode_chunk,
             |c, range| eval_chunk(template, space, &survivors, c, range),
-        )?;
+        )
+        .map_err(|e| match e {
+            SsnError::Interrupted {
+                committed_chunks,
+                total_chunks,
+            } => SsnError::Interrupted {
+                committed_chunks: family_committed + committed_chunks,
+                total_chunks: family_chunks + total_chunks,
+            },
+            e => e,
+        })?;
+        family_committed += run.done().count();
+        family_chunks += spec.n_chunks();
         // A level fails only when it evaluated nothing and some chunk
         // failed; a level the budget skipped whole ends the search below.
         let run = if run.stats.failed_chunks > 0 {
@@ -1544,6 +1561,62 @@ mod tests {
             max_noise_frac: Some(0.0),
         };
         assert!(search(&t, &small_space(), &bad, &ExecPolicy::serial()).is_err());
+    }
+
+    /// An injected crash counts commits per level journal, but its error
+    /// names the whole journal family: the committed count it reports is
+    /// the count a resume restores, also when the crash lands past level 0.
+    #[test]
+    fn a_crash_reports_the_journal_family_a_resume_restores() {
+        use crate::durable::RunBudget;
+        use crate::faults::{with_faults, FaultPlan};
+        let t = template();
+        let space = DesignSpace {
+            drivers: (1..=12).collect(),
+            inductances: (1..=8)
+                .map(|i| Henrys::from_nanos(i as f64 * 1.5))
+                .collect(),
+            capacitances: vec![Farads::from_picos(0.5), Farads::from_picos(2.0)],
+            rise_times: vec![Seconds::from_nanos(0.3), Seconds::from_nanos(0.8)],
+        };
+        let opts = OptimizeOptions::default();
+        let policy = ExecPolicy::with_threads(2);
+        let base = std::env::temp_dir().join(format!("ssn-opt-family-{}", std::process::id()));
+        let durable = |resume| DurableOptions {
+            checkpoint: Some(base.clone()),
+            resume,
+            budget: RunBudget::unlimited(),
+        };
+        let mut past_level_0 = false;
+        for after in 1..=3 {
+            let plan = FaultPlan {
+                crash_after_commits: Some(after),
+                ..FaultPlan::default()
+            };
+            let err = with_faults(plan, || {
+                search_durable(&t, &space, &opts, &policy, &durable(false))
+            })
+            .unwrap_err();
+            let SsnError::Interrupted {
+                committed_chunks,
+                total_chunks,
+            } = err
+            else {
+                panic!("crash after {after}: want Interrupted, got {err}");
+            };
+            assert!(committed_chunks <= total_chunks, "{err}");
+            past_level_0 |= committed_chunks > after;
+            let (_, _, resumed) = search_durable(&t, &space, &opts, &policy, &durable(true))
+                .expect("the resume completes");
+            assert_eq!(
+                resumed.resumed_chunks, committed_chunks,
+                "crash after {after}: {err}"
+            );
+            for level in 0..8 {
+                std::fs::remove_file(level_journal_path(&base, level)).ok();
+            }
+        }
+        assert!(past_level_0, "no crash landed past level 0");
     }
 
     #[test]

@@ -133,6 +133,17 @@ grep -q "resume: 2 chunk(s) restored" "$mc_resumed" \
 diff -u <(grep -E "samples:|q[0-9]" "$mc_golden") \
         <(grep -E "samples:|q[0-9]" "$mc_resumed") \
     || { echo "ci: cross-path MC resume drifted from the uninterrupted run" >&2; exit 1; }
+# A run long enough (391 chunks) that the collect step splits its sort
+# across threads: on one thread and on four it must print the same
+# statistics, byte for byte.
+mc_split_args=(--process p018 --drivers 8 --samples 100000 --seed 3)
+./target/release/ssn montecarlo "${mc_split_args[@]}" --threads 1 > "$tmp_dir/mc_split_1.out"
+./target/release/ssn montecarlo "${mc_split_args[@]}" --threads 4 > "$tmp_dir/mc_split_4.out"
+grep -q "100000 samples:" "$tmp_dir/mc_split_1.out" \
+    || { echo "ci: the 100000-sample MC run printed no statistics" >&2; exit 1; }
+diff -u <(grep -E "samples:|q[0-9]" "$tmp_dir/mc_split_1.out") \
+        <(grep -E "samples:|q[0-9]" "$tmp_dir/mc_split_4.out") \
+    || { echo "ci: a split-sort MC run differs between 1 and 4 threads" >&2; exit 1; }
 
 echo "== server gate: fault smoke, graceful drain, kill -9 -> resume =="
 # The HTTP service's robustness contract, end to end over real sockets:

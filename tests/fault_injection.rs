@@ -246,6 +246,43 @@ fn injected_faults_are_deterministic() {
     }
 }
 
+/// A dropped chunk in a run long enough to split its sort: the collect
+/// step closes the chunk's gap before the split, and the surviving samples
+/// are the same bits at every thread count.
+#[test]
+fn a_dropped_chunk_before_a_split_sort_is_thread_invariant() {
+    // 130 chunks and a ragged tail, past the 64-chunk split of
+    // `sort_samples`; this plan's NaN lands in one full chunk.
+    let n = 130 * MC_CHUNK + 37;
+    let plan = FaultPlan {
+        seed: 6,
+        nan_probability: 2e-5,
+        ..FaultPlan::default()
+    };
+    let s = scenario(8);
+    let spec = VariationSpec::typical();
+    let run = |threads| {
+        with_faults(plan, || {
+            run_monte_carlo_with(&s, &spec, n, 42, &ExecPolicy::with_threads(threads))
+        })
+        .expect("partial result")
+    };
+    let (base, base_stats) = run(1);
+    assert_eq!(base_stats.failed_chunks, 1, "the plan drops one chunk");
+    assert_eq!(base.len(), n - MC_CHUNK);
+    let bits = |r: &McResult| {
+        r.samples()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect::<Vec<u64>>()
+    };
+    for threads in [2usize, 3, 4, 8] {
+        let (again, stats) = run(threads);
+        assert_eq!(stats.failed_chunks, 1, "{threads} threads");
+        assert_eq!(bits(&again), bits(&base), "{threads} threads moved a bit");
+    }
+}
+
 /// Determinism holds fault-OFF: running inside a disarmed harness (or with
 /// no harness at all) is bit-identical — the hooks are true no-ops.
 #[test]

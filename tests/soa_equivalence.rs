@@ -4,10 +4,11 @@
 //!
 //! Matrix: {L-only, LC} models x {1, 2, 4, 8} threads x sample counts
 //! chosen to exercise ragged tails (not divisible by the slab lane width,
-//! not divisible by the chunk size, single-sample runs). "Bit-identical"
-//! is asserted on the raw bits of every sample, and on the derived
-//! statistics (mean / sd / quantiles), which are themselves pinned to a
-//! fixed reduction order.
+//! not divisible by the chunk size, single-sample runs), plus one run long
+//! enough that the collect step splits its sort across threads.
+//! "Bit-identical" is asserted on the raw bits of every sample, and on the
+//! derived statistics (mean / sd / quantiles), which are themselves pinned
+//! to a fixed reduction order.
 
 use ssn_lab::core::montecarlo::{run_monte_carlo_with_path, McPath, VariationSpec, MC_CHUNK};
 use ssn_lab::core::parallel::ExecPolicy;
@@ -56,15 +57,25 @@ fn ragged_counts() -> [usize; 7] {
     ]
 }
 
+/// A run long enough for the collect step to split its sort across
+/// threads (`sort_samples` splits at 64 chunks): 130 chunks and a ragged
+/// tail, so at 4 and 8 threads each half splits again, and at 3 threads
+/// the split falls off the median.
+const SPLIT_COUNT: usize = 130 * MC_CHUNK + 37;
+
 fn check_model(model: &str, c: Farads) {
+    check_counts(model, c, &ragged_counts(), &THREAD_MATRIX);
+}
+
+fn check_counts(model: &str, c: Farads, counts: &[usize], thread_counts: &[usize]) {
     let s = scenario(c);
     let spec = VariationSpec::typical();
-    for n in ragged_counts() {
+    for &n in counts {
         let (scalar, _) =
             run_monte_carlo_with_path(&s, &spec, n, 42, &ExecPolicy::serial(), McPath::Scalar)
                 .expect("scalar reference");
         assert_eq!(scalar.len(), n);
-        for threads in THREAD_MATRIX {
+        for &threads in thread_counts {
             let (batched, stats) = run_monte_carlo_with_path(
                 &s,
                 &spec,
@@ -107,6 +118,15 @@ fn lc_batched_is_bit_identical_to_scalar_at_every_thread_count() {
 #[test]
 fn l_only_batched_is_bit_identical_to_scalar_at_every_thread_count() {
     check_model("L-only", Farads::ZERO);
+}
+
+/// Batched runs whose sort splits across threads equal the serial scalar
+/// reference, whose sort never does.
+#[test]
+fn a_run_long_enough_to_split_its_sort_is_bit_identical_to_serial_scalar() {
+    for (model, c) in [("LC", Farads::from_picos(1.0)), ("L-only", Farads::ZERO)] {
+        check_counts(model, c, &[SPLIT_COUNT], &[1, 2, 3, 4, 8]);
+    }
 }
 
 /// The scalar path itself is thread-count invariant (the pre-existing
