@@ -469,17 +469,25 @@ pub fn evaluate_scenario(
         raw_peak_frac
     };
 
-    // Time-weighted RMS of (MNA - LC model) over the simulated grid.
+    // Time-weighted RMS of (MNA - LC model) over the simulated grid, by
+    // the trapezoid rule: each interval adds the squared difference at
+    // both ends, so a sample's difference is evaluated once and carried
+    // into the next interval.
     let times = vn.times();
     let values = vn.values();
+    let diff = |j: usize| values[j] - lcmodel::vn_at(&s, Seconds::new(times[j])).value();
     let mut num = 0.0;
     let mut den = 0.0;
-    for i in 1..times.len() {
-        let dt = times[i] - times[i - 1];
-        for j in [i - 1, i] {
-            let d = values[j] - lcmodel::vn_at(&s, Seconds::new(times[j])).value();
-            num += 0.5 * dt * d * d;
-            den += 0.5 * dt;
+    if times.len() > 1 {
+        let mut d_prev = diff(0);
+        for i in 1..times.len() {
+            let dt = times[i] - times[i - 1];
+            let d = diff(i);
+            for d in [d_prev, d] {
+                num += 0.5 * dt * d * d;
+                den += 0.5 * dt;
+            }
+            d_prev = d;
         }
     }
     let rms_frac = if den > 0.0 {

@@ -1,8 +1,10 @@
 //! LU factorization with partial pivoting.
 //!
 //! This is the linear solver behind every Newton iteration of the circuit
-//! simulator, so it favours an allocation-light API: factor once with
-//! [`LuFactor::new`], then solve repeatedly with [`LuFactor::solve_in_place`].
+//! simulator, so it favours an allocation-free API: factor once with
+//! [`LuFactor::new`], re-factor into the same storage with
+//! [`LuFactor::refactor`], and solve repeatedly with
+//! [`LuFactor::solve_in_place`].
 
 use crate::matrix::DenseMatrix;
 use crate::NumericError;
@@ -35,7 +37,12 @@ const PIVOT_REL: f64 = 1e-14;
 #[derive(Debug, Clone)]
 pub struct LuFactor {
     lu: DenseMatrix,
-    perm: Vec<usize>,
+    /// `P` as the row interchanges of the elimination: step `k` swapped
+    /// rows `k` and `swaps[k]`.
+    swaps: Vec<usize>,
+    /// Row scales of the matrix being factored, kept between calls only so
+    /// that [`LuFactor::refactor`] does not allocate.
+    scale: Vec<f64>,
     /// Sign of the permutation; used by [`LuFactor::determinant`].
     sign: f64,
 }
@@ -50,6 +57,36 @@ impl LuFactor {
     ///   to its row's original magnitude (row-scaled test, so badly scaled
     ///   but well-conditioned systems still factor).
     pub fn new(a: &DenseMatrix) -> Result<Self, NumericError> {
+        let mut factor = Self {
+            lu: DenseMatrix::zeros(0, 0),
+            swaps: Vec::new(),
+            scale: Vec::new(),
+            sign: 1.0,
+        };
+        factor.refactor(a)?;
+        Ok(factor)
+    }
+
+    /// Factors `a` into this factor's storage, replacing the factorization
+    /// it held; `a` may have any dimension. The result is bit-identical to
+    /// [`LuFactor::new`]`(a)`, and no allocation happens unless `a` is
+    /// larger than every matrix this factor held before.
+    ///
+    /// # Errors
+    ///
+    /// As [`LuFactor::new`]. After an error the factor holds no
+    /// factorization: [`LuFactor::dim`] reads 0, so every solve fails with
+    /// [`NumericError::ShapeMismatch`] until a later `refactor` succeeds.
+    pub fn refactor(&mut self, a: &DenseMatrix) -> Result<(), NumericError> {
+        let factored = self.factor(a);
+        if factored.is_err() {
+            self.lu.copy_from(&DenseMatrix::zeros(0, 0));
+            self.swaps.clear();
+        }
+        factored
+    }
+
+    fn factor(&mut self, a: &DenseMatrix) -> Result<(), NumericError> {
         if !a.is_square() {
             return Err(NumericError::shape(format!(
                 "LU requires a square matrix, got {}x{}",
@@ -58,13 +95,16 @@ impl LuFactor {
             )));
         }
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
+        let lu = &mut self.lu;
+        lu.copy_from(a);
+        self.swaps.clear();
+        self.sign = 1.0;
         // Row scales of the *original* matrix, permuted alongside the rows:
         // the singularity test below is relative to these, so row scaling
         // never changes the verdict (only genuine rank deficiency does).
-        let mut scale = vec![0.0f64; n];
+        let scale = &mut self.scale;
+        scale.clear();
+        scale.resize(n, 0.0);
         for i in 0..n {
             for j in 0..n {
                 scale[i] = scale[i].max(lu[(i, j)].abs());
@@ -88,10 +128,10 @@ impl LuFactor {
             if pmax <= 0.0 || pmax < PIVOT_REL * scale[p] {
                 return Err(NumericError::SingularMatrix { column: k });
             }
+            self.swaps.push(p);
             if p != k {
-                perm.swap(p, k);
                 scale.swap(p, k);
-                sign = -sign;
+                self.sign = -self.sign;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(p, j)];
@@ -111,7 +151,7 @@ impl LuFactor {
                 }
             }
         }
-        Ok(Self { lu, perm, sign })
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -146,9 +186,10 @@ impl LuFactor {
                 x.len()
             )));
         }
-        // Apply permutation: y = P b.
-        let permuted: Vec<f64> = self.perm.iter().map(|&p| x[p]).collect();
-        x.copy_from_slice(&permuted);
+        // Apply the permutation, y = P b, one interchange at a time.
+        for (k, &p) in self.swaps.iter().enumerate() {
+            x.swap(k, p);
+        }
         // Forward substitution (L has unit diagonal).
         for i in 1..n {
             let mut sum = x[i];
@@ -208,6 +249,102 @@ pub fn solve(a: &DenseMatrix, b: &[f64]) -> Result<Vec<f64>, NumericError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{forall, Gen};
+
+    /// A random `n x n` matrix whose diagonal is 1000x smaller than the
+    /// rest, so partial pivoting interchanges rows.
+    fn swapping_matrix(g: &mut Gen, n: usize) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = g.f64_in(-1.0, 1.0);
+            }
+            a[(i, i)] *= 1e-3;
+        }
+        a
+    }
+
+    /// A dimension in `1..=12` other than `n`.
+    fn other_dim(g: &mut Gen, n: usize) -> usize {
+        1 + (n + g.usize_in(0, 10)) % 12
+    }
+
+    /// `Ok` when `reused` solves `b` and reads the determinant with the
+    /// very bits `LuFactor::new(a)` gives.
+    fn same_bits_as_fresh(reused: &LuFactor, a: &DenseMatrix, b: &[f64]) -> Result<(), String> {
+        let fresh = LuFactor::new(a).map_err(|e| format!("fresh factor: {e}"))?;
+        let x_fresh = fresh.solve(b).map_err(|e| e.to_string())?;
+        let x_reused = reused.solve(b).map_err(|e| e.to_string())?;
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        if bits(&x_fresh) != bits(&x_reused) {
+            return Err(format!("solutions differ: {x_fresh:?} vs {x_reused:?}"));
+        }
+        if fresh.determinant().to_bits() != reused.determinant().to_bits() {
+            return Err(format!(
+                "determinants differ: {} vs {}",
+                fresh.determinant(),
+                reused.determinant()
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn refactor_into_used_storage_is_bit_identical_to_a_fresh_factor() {
+        forall("refactor == new, bit for bit", 300, |g| {
+            let n = g.usize_in(1, 12);
+            let a = swapping_matrix(g, n);
+            let b = g.vec_f64(n, -1.0, 1.0);
+            let fresh = LuFactor::new(&a).map_err(|e| format!("n {n}: {e}"))?;
+            if n > 1 && fresh.swaps.iter().enumerate().all(|(k, &p)| k == p) {
+                return Err(format!("n {n}: pivoting swapped no rows"));
+            }
+            // The factor last held another matrix of the same dimension,
+            // then of a different one.
+            for m in [n, other_dim(g, n)] {
+                let mut reused = LuFactor::new(&swapping_matrix(g, m))
+                    .map_err(|e| format!("n {m} warm-up: {e}"))?;
+                reused
+                    .refactor(&a)
+                    .map_err(|e| format!("n {n} from {m}: {e}"))?;
+                same_bits_as_fresh(&reused, &a, &b).map_err(|e| format!("n {n} from {m}: {e}"))?;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn refactor_reports_the_singular_column_a_fresh_factor_reports() {
+        forall("singular refactor == singular new", 300, |g| {
+            let n = g.usize_in(1, 12);
+            let mut a = swapping_matrix(g, n);
+            let c = g.usize_in(0, n - 1);
+            for i in 0..n {
+                a[(i, c)] = 0.0;
+            }
+            let fresh = LuFactor::new(&a).err();
+            let m = other_dim(g, n);
+            let mut reused =
+                LuFactor::new(&swapping_matrix(g, m)).map_err(|e| format!("n {m}: {e}"))?;
+            let again = reused.refactor(&a).err();
+            let expected = Some(NumericError::SingularMatrix { column: c });
+            if fresh != expected || again != expected {
+                return Err(format!(
+                    "n {n}, zero column {c}: new gave {fresh:?}, refactor gave {again:?}"
+                ));
+            }
+            // A failed refactor leaves nothing to solve with, and the next
+            // refactor recovers in full.
+            if reused.dim() != 0 || reused.solve(&vec![1.0; n]).is_ok() {
+                return Err(format!("n {n}: a failed refactor still solves"));
+            }
+            let ok = swapping_matrix(g, n);
+            reused
+                .refactor(&ok)
+                .map_err(|e| format!("n {n} recovery: {e}"))?;
+            same_bits_as_fresh(&reused, &ok, &g.vec_f64(n, -1.0, 1.0))
+        });
+    }
 
     fn residual_inf(a: &DenseMatrix, x: &[f64], b: &[f64]) -> f64 {
         a.matvec(x)

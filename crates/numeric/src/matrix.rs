@@ -110,6 +110,16 @@ impl DenseMatrix {
         self.data.fill(0.0);
     }
 
+    /// Makes `self` an entry-for-entry copy of `src`, of any shape, reusing
+    /// `self`'s allocation when it is large enough. (`Clone::clone_from`
+    /// is the derived default here, which always allocates.)
+    pub fn copy_from(&mut self, src: &Self) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
+    }
+
     /// Returns a view of row `i`.
     ///
     /// # Panics
@@ -317,6 +327,17 @@ mod tests {
         assert_eq!(m.norm_inf(), 5.0);
         m.fill_zero();
         assert_eq!(m.max_abs(), 0.0);
+    }
+
+    #[test]
+    fn copy_from_takes_the_source_shape_and_entries() {
+        let src = DenseMatrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        let mut big = DenseMatrix::identity(4);
+        big.copy_from(&src);
+        assert_eq!(big, src);
+        let mut small = DenseMatrix::zeros(1, 1);
+        small.copy_from(&src);
+        assert_eq!(small, src);
     }
 
     #[test]

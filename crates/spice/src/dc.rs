@@ -38,18 +38,37 @@ impl Default for DcOptions {
     }
 }
 
-/// Runs one Newton solve for a fixed analysis mode, starting from `x`,
-/// using the analysis-scoped solver state in `ws`.
+/// Runs one Newton solve for a fixed analysis mode, iterating `x` in
+/// place from the starting point it holds, using the analysis-scoped
+/// solver state in `ws`.
 ///
-/// Returns the converged solution and the number of iterations used.
+/// Returns the number of iterations used; on an error `x` holds the last
+/// iterate.
 pub(crate) fn newton_solve(
     circuit: &Circuit,
     layout: &SystemLayout,
     mode: &AnalysisMode<'_>,
-    mut x: Vec<f64>,
+    x: &mut [f64],
     opts: &DcOptions,
     ws: &mut SolverWorkspace,
-) -> Result<(Vec<f64>, usize), SpiceError> {
+) -> Result<usize, SpiceError> {
+    // The solution buffer is the workspace's: taken for this solve and
+    // handed back on every exit, so no iteration allocates.
+    let mut x_new = std::mem::take(&mut ws.x_new);
+    let result = newton_iterate(circuit, layout, mode, x, &mut x_new, opts, ws);
+    ws.x_new = x_new;
+    result
+}
+
+fn newton_iterate(
+    circuit: &Circuit,
+    layout: &SystemLayout,
+    mode: &AnalysisMode<'_>,
+    x: &mut [f64],
+    x_new: &mut [f64],
+    opts: &DcOptions,
+    ws: &mut SolverWorkspace,
+) -> Result<usize, SpiceError> {
     let n = layout.dim();
     let n_node_unknowns = layout.n_nodes - 1;
     // The voltage step clamp grows whenever it engages on consecutive
@@ -63,17 +82,15 @@ pub(crate) fn newton_solve(
     // system and lands on the identical `x_new`: solve once up front and
     // replay it through the damping iterations (bit-identical, and the
     // damping/convergence bookkeeping below stays untouched).
-    let hoisted = if ws.is_linear_circuit() {
-        Some(ws.solve(circuit, layout, &x, mode)?)
-    } else {
-        None
-    };
+    let hoisted = ws.is_linear_circuit();
+    if hoisted {
+        ws.solve(circuit, layout, x, mode, x_new)?;
+    }
 
     for iter in 1..=opts.max_newton {
-        let x_new = match &hoisted {
-            Some(sol) => sol.clone(),
-            None => ws.solve(circuit, layout, &x, mode)?,
-        };
+        if !hoisted {
+            ws.solve(circuit, layout, x, mode, x_new)?;
+        }
 
         // Raw Newton step, then damping on the voltage block.
         let mut max_v_step = 0.0f64;
@@ -103,7 +120,7 @@ pub(crate) fn newton_solve(
             x[i] += damp * delta;
         }
         if converged {
-            return Ok((x, iter));
+            return Ok(iter);
         }
     }
     Err(SpiceError::NewtonDiverged {
@@ -143,94 +160,53 @@ pub(crate) fn newton_solve(
 /// ```
 pub fn dc_operating_point(circuit: &Circuit, opts: DcOptions) -> Result<DcSolution, SpiceError> {
     let layout = SystemLayout::new(circuit);
-    let x0 = vec![0.0; layout.dim()];
     let mut ws = SolverWorkspace::new(circuit, &layout, opts.sparse_dim_threshold, true)?;
-
-    // Plain Newton first.
-    let direct = newton_solve(
-        circuit,
-        &layout,
-        &AnalysisMode::Dc {
-            gmin: 0.0,
-            source_scale: 1.0,
-        },
-        x0.clone(),
-        &opts,
-        &mut ws,
-    );
-    if let Ok((x, _)) = direct {
-        return Ok(DcSolution {
-            circuit: circuit.clone(),
-            layout,
-            x,
-        });
-    }
-
-    // gmin stepping.
-    let mut x = x0.clone();
-    let mut ok = true;
-    for exp in 3..=12 {
-        let gmin = 10f64.powi(-exp);
-        match newton_solve(
-            circuit,
-            &layout,
-            &AnalysisMode::Dc {
-                gmin,
-                source_scale: 1.0,
-            },
-            x.clone(),
-            &opts,
-            &mut ws,
-        ) {
-            Ok((next, _)) => x = next,
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        }
-    }
-    if ok {
-        if let Ok((x, _)) = newton_solve(
-            circuit,
-            &layout,
-            &AnalysisMode::Dc {
-                gmin: 0.0,
-                source_scale: 1.0,
-            },
-            x,
-            &opts,
-            &mut ws,
-        ) {
-            return Ok(DcSolution {
-                circuit: circuit.clone(),
-                layout,
-                x,
-            });
-        }
-    }
-
-    // Source stepping.
-    let mut x = x0;
-    for k in 1..=10 {
-        let scale = f64::from(k) / 10.0;
-        let (next, _) = newton_solve(
-            circuit,
-            &layout,
-            &AnalysisMode::Dc {
-                gmin: 0.0,
-                source_scale: scale,
-            },
-            x,
-            &opts,
-            &mut ws,
-        )?;
-        x = next;
-    }
-    Ok(DcSolution {
+    let solved = |layout: SystemLayout, x: Vec<f64>| DcSolution {
         circuit: circuit.clone(),
         layout,
         x,
-    })
+    };
+    // Every attempt starts from the all-zero vector.
+    let mut x = vec![0.0; layout.dim()];
+
+    // Plain Newton first.
+    let plain = AnalysisMode::Dc {
+        gmin: 0.0,
+        source_scale: 1.0,
+    };
+    if newton_solve(circuit, &layout, &plain, &mut x, &opts, &mut ws).is_ok() {
+        return Ok(solved(layout, x));
+    }
+
+    // gmin stepping.
+    x.fill(0.0);
+    let mut ok = true;
+    for exp in 3..=12 {
+        let gmin = 10f64.powi(-exp);
+        let stage = AnalysisMode::Dc {
+            gmin,
+            source_scale: 1.0,
+        };
+        if newton_solve(circuit, &layout, &stage, &mut x, &opts, &mut ws).is_err() {
+            ok = false;
+            break;
+        }
+    }
+    if ok && newton_solve(circuit, &layout, &plain, &mut x, &opts, &mut ws).is_ok() {
+        return Ok(solved(layout, x));
+    }
+
+    // Source stepping.
+    x.fill(0.0);
+    for k in 1..=10 {
+        let scale = f64::from(k) / 10.0;
+        let stage = AnalysisMode::Dc {
+            gmin: 0.0,
+            source_scale: scale,
+        };
+        newton_solve(circuit, &layout, &stage, &mut x, &opts, &mut ws)?;
+    }
+    Ok(solved(layout, x))
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //!
 //! A [`SolverWorkspace`] is created once per analysis (one `transient` or
 //! `dc_operating_point` call) and owns the system matrix, the right-hand
-//! side, and the factorization caches, so the Newton loop allocates
-//! nothing per iteration.
+//! side, Newton's solution buffer and the factorization storage. On the
+//! dense tier a Newton iteration, and so an accepted time step, allocates
+//! nothing: every factorization goes into recycled storage
+//! ([`LuFactor::refactor`]) and every solve into a caller buffer.
+//! `tests/transient_allocs.rs` holds that contract.
 //!
 //! Two independent optimizations live here, both provably bit-identical
 //! to the naive factor-per-iteration path:
@@ -19,16 +22,19 @@
 //!   share the companion-model key (`dt` bits + integration method)
 //!   assemble bit-identical matrices, so the LU (or ILU) factors are
 //!   bit-identical too and can be reused. The adaptive controller settles
-//!   onto `dt_max` for long stretches, which is where the cache pays.
+//!   onto `dt_max` for long stretches, which is where the cache pays. A
+//!   dense hit does not even re-stamp `A`: it assembles only the
+//!   right-hand side.
 //!
 //! Above [`SPARSE_DIM_THRESHOLD`] unknowns the workspace switches from
 //! dense LU to CSR storage with the `gmres+ilu0 → gmres+jacobi →
 //! dense-lu` ladder from [`ssn_numeric::gmres`], mirroring the
-//! `newton → brent → bisect` root-finder ladder.
+//! `newton → brent → bisect` root-finder ladder. That tier allocates in
+//! GMRES itself.
 
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use crate::stamp::{assemble, sparsity_pattern, AnalysisMode, SystemLayout};
+use crate::stamp::{assemble, sparsity_pattern, AnalysisMode, RhsOnly, SystemLayout};
 use crate::tran::IntegrationMethod;
 use ssn_numeric::gmres::{gmres, solve_sparse, GmresOptions, LinearSolveReport, Preconditioner};
 use ssn_numeric::lu::LuFactor;
@@ -76,11 +82,20 @@ enum Storage {
 pub(crate) struct SolverWorkspace {
     storage: Storage,
     z: Vec<f64>,
+    /// Newton's solution buffer (see `dc::newton_solve`).
+    pub(crate) x_new: Vec<f64>,
     /// No diodes/MOSFETs: the assembled system is iterate-independent.
     linear: bool,
     /// Factor caching enabled (disable to benchmark the old path).
     reuse: bool,
+    /// Cached dense factors, first in first out: once full, the slot at
+    /// `dense_oldest` is the next to go.
     dense_cache: Vec<(FactorKey, LuFactor)>,
+    dense_oldest: usize,
+    /// Every dense factorization lands here first, so a singular matrix
+    /// leaves the cache as it was. A cached miss then trades places with
+    /// the evicted slot, whose storage becomes the next spare.
+    spare: LuFactor,
     ilu_cache: Vec<(FactorKey, Preconditioner)>,
     gmres_opts: GmresOptions,
     /// Convergence report of the most recent sparse solve.
@@ -112,9 +127,12 @@ impl SolverWorkspace {
         Ok(Self {
             storage,
             z: vec![0.0; dim],
+            x_new: vec![0.0; dim],
             linear: circuit.is_linear(),
             reuse,
-            dense_cache: Vec::new(),
+            dense_cache: Vec::with_capacity(FACTOR_CACHE_CAP),
+            dense_oldest: 0,
+            spare: LuFactor::new(&DenseMatrix::zeros(0, 0))?,
             ilu_cache: Vec::new(),
             gmres_opts: GmresOptions::default(),
             last_report: None,
@@ -137,37 +155,44 @@ impl SolverWorkspace {
         self.linear
     }
 
-    /// Assembles the system at iterate `x` for `mode` and solves it.
+    /// Assembles the system at iterate `x` for `mode` and solves it into
+    /// `out`.
     pub(crate) fn solve(
         &mut self,
         circuit: &Circuit,
         layout: &SystemLayout,
         x: &[f64],
         mode: &AnalysisMode<'_>,
-    ) -> Result<Vec<f64>, SpiceError> {
+        out: &mut [f64],
+    ) -> Result<(), SpiceError> {
         let cacheable = self.reuse && self.linear;
         match &mut self.storage {
             Storage::Dense(a) => {
                 self.dense_solves += 1;
-                assemble(circuit, layout, x, mode, a, &mut self.z);
-                if cacheable {
-                    let key = key_of(mode);
-                    if let Some(pos) = self.dense_cache.iter().position(|(k, _)| *k == key) {
-                        self.factor_hits += 1;
-                        return Ok(self.dense_cache[pos].1.solve(&self.z)?);
-                    }
-                    let lu = LuFactor::new(a)?;
-                    let sol = lu.solve(&self.z)?;
-                    self.factor_misses += 1;
-                    if self.dense_cache.len() >= FACTOR_CACHE_CAP {
-                        self.dense_cache.remove(0);
-                    }
-                    self.dense_cache.push((key, lu));
-                    Ok(sol)
+                let key = key_of(mode);
+                let hit = if cacheable {
+                    self.dense_cache.iter().position(|(k, _)| *k == key)
                 } else {
-                    let lu = LuFactor::new(a)?;
-                    Ok(lu.solve(&self.z)?)
-                }
+                    None
+                };
+                let lu = if let Some(pos) = hit {
+                    self.factor_hits += 1;
+                    assemble(circuit, layout, x, mode, &mut RhsOnly, &mut self.z);
+                    &self.dense_cache[pos].1
+                } else {
+                    assemble(circuit, layout, x, mode, a, &mut self.z);
+                    self.spare.refactor(a)?;
+                    if cacheable {
+                        self.factor_misses += 1;
+                        let pos = self.cache_spare(key);
+                        &self.dense_cache[pos].1
+                    } else {
+                        &self.spare
+                    }
+                };
+                out.copy_from_slice(&self.z);
+                lu.solve_in_place(out)?;
+                Ok(())
             }
             Storage::Sparse(csr) => {
                 self.sparse_solves += 1;
@@ -198,7 +223,8 @@ impl SolverWorkspace {
                             gmres(&*csr, &self.z, &self.ilu_cache[pos].1, &self.gmres_opts)?;
                         if report.converged {
                             self.last_report = Some(report);
-                            return Ok(sol);
+                            out.copy_from_slice(&sol);
+                            return Ok(());
                         }
                         // A stale preconditioner cannot make GMRES converge
                         // to a *wrong* answer, only slowly — but evict it
@@ -211,9 +237,26 @@ impl SolverWorkspace {
                     self.ladder_fallbacks += 1;
                 }
                 self.last_report = Some(report);
-                Ok(sol)
+                out.copy_from_slice(&sol);
+                Ok(())
             }
         }
+    }
+
+    /// Moves the freshly factored spare into the dense cache under `key`
+    /// and returns its slot. While the cache fills, the slot gets a copy;
+    /// once it is full, the oldest slot's storage becomes the spare.
+    fn cache_spare(&mut self, key: FactorKey) -> usize {
+        if self.dense_cache.len() < FACTOR_CACHE_CAP {
+            self.dense_cache.push((key, self.spare.clone()));
+            return self.dense_cache.len() - 1;
+        }
+        let pos = self.dense_oldest;
+        self.dense_oldest = (pos + 1) % FACTOR_CACHE_CAP;
+        let slot = &mut self.dense_cache[pos];
+        slot.0 = key;
+        std::mem::swap(&mut slot.1, &mut self.spare);
+        pos
     }
 }
 
@@ -237,6 +280,7 @@ impl Drop for SolverWorkspace {
 mod tests {
     use super::*;
     use crate::source::SourceWave;
+    use crate::stamp::{CapState, PrevState};
     use crate::tran::{transient, TranOptions};
 
     /// A vsource-driven RC ladder with `n` sections (dim = n + 2).
@@ -281,6 +325,77 @@ mod tests {
         let ws = sparse.voltage("n30").unwrap();
         let err = wd.max_abs_error(&ws).unwrap();
         assert!(err < 1e-6, "sparse and dense tiers disagree by {err}");
+    }
+
+    /// The dense cache keeps first-in-first-out order while its storage
+    /// rotates: over a key sequence that overflows it many times, hits and
+    /// misses follow a plain FIFO model, and every solve has the bits of
+    /// an uncached workspace. A singular system between two solves leaves
+    /// the cache as it was.
+    #[test]
+    fn dense_factor_ring_is_fifo_and_bit_identical_to_uncached_solves() {
+        let mut c = rc_ladder(3);
+        // At DC the inductor shorts the source: a singular system.
+        c.inductor("l0", "n0", "0", 1e-9).unwrap();
+        let layout = SystemLayout::new(&c);
+        let dim = layout.dim();
+        let mut cached = SolverWorkspace::new(&c, &layout, usize::MAX, true).unwrap();
+        let mut fresh = SolverWorkspace::new(&c, &layout, usize::MAX, false).unwrap();
+        let prev = PrevState {
+            x: (0..dim).map(|i| 0.1 * (i as f64 + 1.0)).collect(),
+            caps: vec![CapState { v: 0.3, i: 1e-4 }; layout.n_caps],
+        };
+        let dc = AnalysisMode::Dc {
+            gmin: 0.0,
+            source_scale: 1.0,
+        };
+        let (mut out_cached, mut out_fresh) = (vec![0.0; dim], vec![0.0; dim]);
+        let mut fifo = std::collections::VecDeque::new();
+        let mut expected_hits = 0;
+        let mut lcg = 7u64;
+        for step in 0..200 {
+            if step % 50 == 25 {
+                assert!(cached
+                    .solve(&c, &layout, &prev.x, &dc, &mut out_cached)
+                    .is_err());
+            }
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let k = (lcg >> 33) % 11;
+            let mode = AnalysisMode::Tran {
+                t: 1e-9,
+                dt: 1e-12 * (k + 1) as f64,
+                method: IntegrationMethod::Trapezoidal,
+                prev: &prev,
+            };
+            if fifo.contains(&k) {
+                expected_hits += 1;
+            } else {
+                fifo.push_back(k);
+                if fifo.len() > FACTOR_CACHE_CAP {
+                    fifo.pop_front();
+                }
+            }
+            cached
+                .solve(&c, &layout, &prev.x, &mode, &mut out_cached)
+                .unwrap();
+            fresh
+                .solve(&c, &layout, &prev.x, &mode, &mut out_fresh)
+                .unwrap();
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&out_cached),
+                bits(&out_fresh),
+                "step {step}, dt key {k}"
+            );
+        }
+        assert_eq!(cached.factor_hits, expected_hits);
+        assert_eq!(cached.factor_misses, 200 - expected_hits);
+        assert!(
+            expected_hits > 50 && expected_hits < 150,
+            "{expected_hits} hits"
+        );
     }
 
     /// The satellite-2 contract: factor reuse must not change a single

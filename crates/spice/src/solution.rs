@@ -46,12 +46,15 @@ impl DcSolution {
 }
 
 /// The sampled trajectory of a transient analysis.
+///
+/// The unknown vectors are stored row-major in one flat vector: row `k`
+/// holds the node voltages and branch currents at `times()[k]`.
 #[derive(Debug, Clone)]
 pub struct TranResult {
     pub(crate) circuit: Circuit,
     pub(crate) layout: SystemLayout,
     pub(crate) times: Vec<f64>,
-    pub(crate) states: Vec<Vec<f64>>,
+    pub(crate) states: Vec<f64>,
     pub(crate) newton_iterations: usize,
     pub(crate) rejected_steps: usize,
 }
@@ -83,6 +86,17 @@ impl TranResult {
         &self.times
     }
 
+    /// The unknown vector at accepted time `k`.
+    fn state(&self, k: usize) -> &[f64] {
+        let dim = self.layout.dim();
+        &self.states[k * dim..(k + 1) * dim]
+    }
+
+    /// The unknown vectors, one per accepted time.
+    fn rows(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.len()).map(|k| self.state(k))
+    }
+
     /// The voltage waveform of `node`.
     ///
     /// # Errors
@@ -93,11 +107,7 @@ impl TranResult {
             .circuit
             .find_node(node)
             .ok_or_else(|| SpiceError::UnknownProbe { name: node.into() })?;
-        let v: Vec<f64> = self
-            .states
-            .iter()
-            .map(|x| self.layout.voltage(x, id))
-            .collect();
+        let v: Vec<f64> = self.rows().map(|x| self.layout.voltage(x, id)).collect();
         Ok(Waveform::new(self.times.clone(), v)?)
     }
 
@@ -117,7 +127,7 @@ impl TranResult {
             .ok_or_else(|| SpiceError::UnknownProbe {
                 name: element.into(),
             })?;
-        let v: Vec<f64> = self.states.iter().map(|x| x[bi]).collect();
+        let v: Vec<f64> = self.rows().map(|x| x[bi]).collect();
         Ok(Waveform::new(self.times.clone(), v)?)
     }
 
@@ -144,8 +154,7 @@ impl TranResult {
             });
         };
         let v: Vec<f64> = self
-            .states
-            .iter()
+            .rows()
             .map(|x| {
                 let vd = self.layout.voltage(x, d);
                 let vg = self.layout.voltage(x, g);
@@ -168,8 +177,8 @@ impl TranResult {
             .circuit
             .find_node(node)
             .ok_or_else(|| SpiceError::UnknownProbe { name: node.into() })?;
-        let last = self.states.last().expect("non-empty trajectory");
-        Ok(self.layout.voltage(last, id))
+        let last = self.len().checked_sub(1).expect("non-empty trajectory");
+        Ok(self.layout.voltage(self.state(last), id))
     }
 }
 

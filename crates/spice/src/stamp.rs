@@ -12,7 +12,6 @@ use crate::tran::IntegrationMethod;
 use ssn_devices::{MosModel, MosPolarity};
 use ssn_numeric::matrix::DenseMatrix;
 use ssn_numeric::sparse::CsrMatrix;
-use std::collections::HashMap;
 
 /// Matrix storage the stamper can write into: dense for small systems,
 /// CSR (with a precomputed pattern from [`sparsity_pattern`]) for large
@@ -42,6 +41,15 @@ impl StampMatrix for CsrMatrix {
     }
 }
 
+/// A matrix that discards every stamp: assembling into it computes only
+/// the right-hand side, for a system whose factored `A` is already cached.
+pub(crate) struct RhsOnly;
+
+impl StampMatrix for RhsOnly {
+    fn reset(&mut self) {}
+    fn add(&mut self, _i: usize, _j: usize, _v: f64) {}
+}
+
 /// Conductance tied from every node to ground so that floating nodes never
 /// make the MNA matrix singular.
 pub(crate) const GMIN_FLOOR: f64 = 1e-12;
@@ -51,11 +59,11 @@ pub(crate) const GMIN_FLOOR: f64 = 1e-12;
 pub(crate) struct SystemLayout {
     /// Total nodes including ground.
     pub n_nodes: usize,
-    /// Branch-current unknown index (within the branch block) per element
-    /// index, for voltage sources and inductors.
-    pub branch_of: HashMap<usize, usize>,
-    /// Capacitor state-slot index per element index.
-    pub cap_of: HashMap<usize, usize>,
+    /// Branch-current unknown index (within the branch block), indexed by
+    /// element; `Some` for voltage sources and inductors.
+    pub branch_of: Vec<Option<usize>>,
+    /// Capacitor state slot, indexed by element; `Some` for capacitors.
+    pub cap_of: Vec<Option<usize>>,
     /// Number of branch unknowns.
     pub n_branches: usize,
     /// Number of capacitors.
@@ -64,18 +72,19 @@ pub(crate) struct SystemLayout {
 
 impl SystemLayout {
     pub(crate) fn new(circuit: &Circuit) -> Self {
-        let mut branch_of = HashMap::new();
-        let mut cap_of = HashMap::new();
+        let n_elements = circuit.elements().len();
+        let mut branch_of = vec![None; n_elements];
+        let mut cap_of = vec![None; n_elements];
         let mut n_branches = 0;
         let mut n_caps = 0;
         for (i, el) in circuit.elements().iter().enumerate() {
             match el.kind() {
                 ElementKind::VSource { .. } | ElementKind::Inductor { .. } => {
-                    branch_of.insert(i, n_branches);
+                    branch_of[i] = Some(n_branches);
                     n_branches += 1;
                 }
                 ElementKind::Capacitor { .. } => {
-                    cap_of.insert(i, n_caps);
+                    cap_of[i] = Some(n_caps);
                     n_caps += 1;
                 }
                 _ => {}
@@ -102,7 +111,11 @@ impl SystemLayout {
 
     /// Unknown index of the branch current of element `elem_idx`.
     pub(crate) fn branch_index(&self, elem_idx: usize) -> Option<usize> {
-        self.branch_of.get(&elem_idx).map(|b| self.n_nodes - 1 + b)
+        self.branch_of
+            .get(elem_idx)
+            .copied()
+            .flatten()
+            .map(|b| self.n_nodes - 1 + b)
     }
 
     /// Voltage of node `n` in the unknown vector `x` (0 for ground).
@@ -282,11 +295,13 @@ pub(crate) fn assemble<S: StampMatrix>(
                 farads,
                 ..
             } => {
-                if let AnalysisMode::Tran {
-                    dt, method, prev, ..
-                } = mode
+                if let (
+                    AnalysisMode::Tran {
+                        dt, method, prev, ..
+                    },
+                    Some(slot),
+                ) = (mode, layout.cap_of[idx])
                 {
-                    let slot = layout.cap_of[&idx];
                     let state = &prev.caps[slot];
                     let (geq, ieq) = match method {
                         IntegrationMethod::BackwardEuler => {

@@ -142,14 +142,13 @@ fn initial_state(
         }
         let mut caps = vec![CapState::default(); layout.n_caps];
         for (idx, el) in circuit.elements().iter().enumerate() {
-            match el.kind() {
-                ElementKind::Capacitor { a, b, ic, .. } => {
-                    let slot = layout.cap_of[&idx];
+            match (el.kind(), layout.cap_of[idx]) {
+                (ElementKind::Capacitor { a, b, ic, .. }, Some(slot)) => {
                     caps[slot].v =
                         ic.unwrap_or_else(|| layout.voltage(&x, *a) - layout.voltage(&x, *b));
                     caps[slot].i = 0.0;
                 }
-                ElementKind::Inductor { ic, .. } => {
+                (ElementKind::Inductor { ic, .. }, _) => {
                     if let (Some(i0), Some(bi)) = (ic, layout.branch_index(idx)) {
                         x[bi] = *i0;
                     }
@@ -162,9 +161,8 @@ fn initial_state(
         let op = dc_operating_point(circuit, opts.newton)?;
         let x = op.x;
         let mut caps = vec![CapState::default(); layout.n_caps];
-        for (idx, el) in circuit.elements().iter().enumerate() {
-            if let ElementKind::Capacitor { a, b, .. } = el.kind() {
-                let slot = layout.cap_of[&idx];
+        for (el, &slot) in circuit.elements().iter().zip(&layout.cap_of) {
+            if let (ElementKind::Capacitor { a, b, .. }, Some(slot)) = (el.kind(), slot) {
                 caps[slot].v = layout.voltage(&x, *a) - layout.voltage(&x, *b);
                 caps[slot].i = 0.0;
             }
@@ -182,9 +180,8 @@ fn update_cap_states(
     method: IntegrationMethod,
     caps: &mut [CapState],
 ) {
-    for (idx, el) in circuit.elements().iter().enumerate() {
-        if let ElementKind::Capacitor { a, b, farads, .. } = el.kind() {
-            let slot = layout.cap_of[&idx];
+    for (el, &slot) in circuit.elements().iter().zip(&layout.cap_of) {
+        if let (ElementKind::Capacitor { a, b, farads, .. }, Some(slot)) = (el.kind(), slot) {
             let v_new = layout.voltage(x_new, *a) - layout.voltage(x_new, *b);
             let state = &mut caps[slot];
             state.i = match method {
@@ -239,7 +236,13 @@ pub fn transient(circuit: &Circuit, opts: TranOptions) -> Result<TranResult, Spi
 
     let mut prev = initial_state(circuit, &layout, &opts)?;
     let mut times = vec![0.0];
-    let mut states = vec![prev.x.clone()];
+    // Row-major: one row of `layout.dim()` unknowns per accepted time.
+    let mut states = prev.x.clone();
+    // Newton's iterate and the state at t - 2 (for the LTE predictor).
+    // An accepted step rotates them through `prev.x`, so no step
+    // allocates.
+    let mut x_iter = vec![0.0; layout.dim()];
+    let mut x_hist = vec![0.0; layout.dim()];
 
     let mut t = 0.0f64;
     let mut dt = dt_init;
@@ -247,8 +250,8 @@ pub fn transient(circuit: &Circuit, opts: TranOptions) -> Result<TranResult, Spi
     // Force a damped first-order step right after t = 0 and after every
     // breakpoint corner.
     let mut post_discontinuity = true;
-    // For the LTE predictor.
-    let mut hist: Option<(Vec<f64>, f64)> = None; // (x at t-2, dt of last step)
+    // The last step's dt, while `x_hist` holds the state before it.
+    let mut hist_dt: Option<f64> = None;
     let mut total_newton = 0usize;
     let mut rejected = 0usize;
 
@@ -290,19 +293,14 @@ pub fn transient(circuit: &Circuit, opts: TranOptions) -> Result<TranResult, Spi
             method,
             prev: &prev,
         };
-        match newton_solve(
-            circuit,
-            &layout,
-            &mode,
-            prev.x.clone(),
-            &opts.newton,
-            &mut ws,
-        ) {
-            Ok((x_new, iters)) => {
+        x_iter.copy_from_slice(&prev.x);
+        match newton_solve(circuit, &layout, &mode, &mut x_iter, &opts.newton, &mut ws) {
+            Ok(iters) => {
                 total_newton += iters;
+                let (x_new, x_old) = (&x_iter, &x_hist);
                 // Local-truncation estimate via the linear predictor.
                 if !post_discontinuity {
-                    if let Some((x_old, dt_old)) = &hist {
+                    if let Some(dt_old) = hist_dt {
                         let ratio = dt_eff / dt_old;
                         let mut err = 0.0f64;
                         let mut scale = 0.0f64;
@@ -336,15 +334,18 @@ pub fn transient(circuit: &Circuit, opts: TranOptions) -> Result<TranResult, Spi
                     dt = (dt * 0.5).max(dt_min);
                 }
 
-                update_cap_states(circuit, &layout, &x_new, dt_eff, method, &mut prev.caps);
-                hist = Some((prev.x.clone(), dt_eff));
-                prev.x = x_new;
+                update_cap_states(circuit, &layout, &x_iter, dt_eff, method, &mut prev.caps);
+                // x_hist <- prev.x <- x_iter; the stale x_hist becomes the
+                // next iterate buffer.
+                std::mem::swap(&mut x_hist, &mut prev.x);
+                std::mem::swap(&mut prev.x, &mut x_iter);
+                hist_dt = Some(dt_eff);
                 t = t_new;
                 times.push(t);
-                states.push(prev.x.clone());
+                states.extend_from_slice(&prev.x);
                 post_discontinuity = landed_on_bp && t < opts.t_stop * (1.0 - 1e-12);
                 if post_discontinuity {
-                    hist = None;
+                    hist_dt = None;
                     dt = (dt_eff.min(dt_init)).max(dt_min);
                 }
             }

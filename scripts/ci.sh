@@ -53,6 +53,15 @@ tmp_repro="$tmp_dir/repro"
 diff -u results/diff1_oracle_summary.csv "$tmp_csv" \
     || { echo "ci: differential summary drifted from results/diff1_oracle_summary.csv" >&2; exit 1; }
 
+echo "== ssn simulate: the pad-ring deck =="
+# A nonlinear deck end to end: the parser (subcircuits, .include, .ic),
+# ESD diodes and MOSFETs in the Newton loop, and the transient's probes
+# down to `final_voltage`. Step counts, peak and final voltage must match
+# the recorded output byte for byte.
+./target/release/ssn simulate decks/pad_ring.sp --probe ng > "$tmp_dir/pad_ring.out"
+diff -u tests/fixtures/pad_ring_simulate.out "$tmp_dir/pad_ring.out" \
+    || { echo "ci: ssn simulate decks/pad_ring.sp drifted from tests/fixtures/pad_ring_simulate.out" >&2; exit 1; }
+
 echo "== fault plan: a malformed SSN_FAULTS is refused =="
 # A typo in a drill's plan must not run the drill with no faults.
 rc=0
